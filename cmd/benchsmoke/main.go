@@ -38,8 +38,8 @@
 //     (default 0.75x packed), the compressed single-tree sweep runs
 //     slower than the stream time tolerance (default 1.10x packed), or
 //     the k=16 multi-tree sweep exceeds its multi tolerance (default
-//     1.08x packed — the decode-once lane-major kernels hold the
-//     compressed multi sweep within a few percent of packed).
+//     1.08x packed — both streams feed one register-resident relax, so
+//     only the compressed block decode separates them).
 //   - snapshot: preprocesses the europe-m fixture once, saves the
 //     engine snapshot, and times the mmap and heap restores against
 //     the rebuild, writing BENCH_8.json; exits non-zero if the mmap
@@ -718,15 +718,15 @@ type StreamReport struct {
 	// the time half of the gate. The single tree must stay ≤ the stream
 	// tolerance; the k=16 multi ratio gets its own slightly looser gate
 	// (default 1.08) because at k=16 the k·n label streams dominate and
-	// the graph stream is a sliver, so the ratio is noisier. The
-	// decode-once lane-major kernels hold the compressed multi sweep
-	// within a few percent of packed, so a breach past 8% means the
-	// kernel family regressed, not the noise floor.
+	// the graph stream is a sliver, so the ratio is noisier. Both
+	// streams share one register-resident relax and differ only in the
+	// compressed block decode, so a breach past 8% means the decode or
+	// its staging regressed, not the noise floor.
 	RatioTree  float64 `json:"ratio_tree"`
 	RatioMulti float64 `json:"ratio_multi_k16"`
 	// ShapeHistogram counts compressed blocks per header shape
-	// ("d8w16" = 1-byte deltas, 2-byte weights). The decode-once
-	// kernels specialize the four narrow shapes with constant shifts;
+	// ("d8w16" = 1-byte deltas, 2-byte weights). The decoders
+	// specialize the four narrow shapes with constant shifts;
 	// read a ratio regression against this mix — more generic-shape
 	// blocks means slower decode at the same byte count.
 	ShapeHistogram map[string]int `json:"shape_histogram"`
@@ -1052,10 +1052,9 @@ func main() {
 		// heads and narrow weights run well under this on road networks.
 		streamBytesRatio = flag.Float64("stream-bytes-ratio", 0.75, "max allowed compressed/packed stream byte ratio before failing")
 		// 1.08: at k=16 the graph stream is a sliver of the traffic, so
-		// the ratio is noisier than the single-tree one — but the
-		// decode-once lane-major kernels measure ~1.05x on europe-m, so
-		// 8% covers the jitter while still catching any regression back
-		// toward the old vertex-major kernels' ~1.15x.
+		// the ratio is noisier than the single-tree one — but both
+		// streams feed the same register relax, so 8% covers the jitter
+		// while still catching a regression in the compressed decode.
 		streamMultiTolerance = flag.Float64("stream-multi-tolerance", 1.08, "max allowed compressed/packed k=16 multi-tree time ratio before failing")
 		snapshotOut          = flag.String("snapshot-out", "BENCH_8.json", "snapshot report path")
 		// 50: restoring from a snapshot must be a different complexity

@@ -47,12 +47,6 @@ type Options struct {
 	// ParallelGrain is 0; 0 detects the machine's L2 cache and budgets
 	// half of it (see internal/machine; PHAST_CHUNK_BYTES overrides).
 	ChunkBytes int
-	// VertexMajorMulti routes a compressed engine's multi-tree sweeps
-	// through the first-generation vertex-major (k labels per vertex,
-	// contiguous) kernels instead of the lane-major decode-once family
-	// that is now the default. Retained as a differential oracle and
-	// A/B baseline; requires CompressedSweep.
-	VertexMajorMulti bool
 }
 
 func (o *Options) packed() core.PackedSetting {
@@ -66,18 +60,14 @@ func (o *Options) coreOptions() (core.Options, error) {
 	if o.LegacySweep && o.CompressedSweep {
 		return core.Options{}, fmt.Errorf("phast: LegacySweep and CompressedSweep are mutually exclusive (the compressed stream is a packed layout)")
 	}
-	if o.VertexMajorMulti && !o.CompressedSweep {
-		return core.Options{}, fmt.Errorf("phast: VertexMajorMulti selects the compressed multi-kernel oracle and requires CompressedSweep")
-	}
 	return core.Options{
-		Mode:             o.SweepMode,
-		Workers:          o.SweepWorkers,
-		PackedSweep:      o.packed(),
-		CompressedSweep:  o.CompressedSweep,
-		ForkJoinSweep:    o.ForkJoinSweep,
-		ParallelGrain:    o.ParallelGrain,
-		ChunkBytes:       o.ChunkBytes,
-		VertexMajorMulti: o.VertexMajorMulti,
+		Mode:            o.SweepMode,
+		Workers:         o.SweepWorkers,
+		PackedSweep:     o.packed(),
+		CompressedSweep: o.CompressedSweep,
+		ForkJoinSweep:   o.ForkJoinSweep,
+		ParallelGrain:   o.ParallelGrain,
+		ChunkBytes:      o.ChunkBytes,
 	}, nil
 }
 
@@ -372,8 +362,11 @@ func (e *Engine) PathTo(v int32) []int32 { return e.core.PathTo(v) }
 func (e *Engine) TreeParents(buf []int32) { e.core.GTreeParents(buf) }
 
 // MultiTree grows one tree per source in a single sweep (Section IV-B).
-// useLanes enables the 4-wide SSE-style relaxation (len(sources) must
-// then be a multiple of 4). Read results with MultiDist.
+// The default packed and compressed layouts relax the k labels of a
+// vertex in register-resident 4-wide lane groups at any k, so useLanes
+// matters only under LegacySweep, where it selects the 4-wide
+// relaxation and len(sources) must be a multiple of 4. Read results
+// with MultiDist.
 func (e *Engine) MultiTree(sources []int32, useLanes bool) {
 	e.core.MultiTree(sources, useLanes)
 }
@@ -415,8 +408,10 @@ func (e *Engine) QueryPath(s, t int32) []int32 {
 func (e *Engine) CopyDistances(buf []uint32) { e.core.CopyDistances(buf) }
 
 // TreeServer is the goroutine-safe serving layer: it batches concurrent
-// tree requests into multi-source sweeps over a pool of engine clones
-// (Section IV-B batching × Section V parallelism). See Engine.Serve.
+// tree requests into multi-source sweeps (Section IV-B batching), each
+// swept sequentially by one of several executors that own an engine
+// clone apiece — the per-source parallelism of Section V, one core per
+// batch. See Engine.Serve.
 type TreeServer = server.TreeServer
 
 // TreeResult is one tree computed by a TreeServer; its distance buffer

@@ -144,14 +144,14 @@ type SweepTraffic struct {
 	// this is under 0.01% of the label streams; it is modeled so the
 	// GB/s figures stay honest about what the scheduler itself touches.
 	SchedChunks int
-	// LabelRereads marks the vertex-major (AoS) multi-tree kernels,
-	// whose relax target lives in memory rather than a register: every
-	// arc re-reads (and conditionally rewrites) the scanned vertex's own
-	// k labels, adding k·4m bytes of label traffic on top of the k tail
-	// reads per arc. The lane-major decode-once kernels accumulate each
-	// lane's minimum in a register and pay exactly one read-modify-write
-	// per (lane, vertex), which the base k·(4m+4n) term already covers —
-	// as do all single-tree kernels, so the flag is inert at K <= 1.
+	// LabelRereads marks the memory-resident multi-tree kernels of the
+	// CSR oracle (core.PackedOff): every arc re-reads (and conditionally
+	// rewrites) the scanned vertex's own k labels, adding k·4m bytes of
+	// label traffic on top of the k tail reads per arc. The packed and
+	// compressed kernels accumulate each lane's minimum in a register and
+	// store it once per (lane, vertex), which the base k·(4m+4n) term
+	// already covers — as do all single-tree kernels, so the flag is
+	// inert at K <= 1.
 	LabelRereads bool
 }
 

@@ -63,8 +63,8 @@ func TestSequentialParallelRuns(t *testing.T) {
 	}
 }
 
-// TestSweepTrafficLabelRereads pins the AoS-vs-lane-major label model:
-// the vertex-major multi kernels pay one extra label read per arc per
+// TestSweepTrafficLabelRereads pins the memory-resident label model of
+// the CSR oracle's multi kernels: one extra label read per arc per
 // lane, and the flag is inert for single-tree sweeps.
 func TestSweepTrafficLabelRereads(t *testing.T) {
 	base := SweepTraffic{N: 100, M: 400, K: 8, StreamBytes: 1000}

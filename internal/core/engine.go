@@ -10,8 +10,9 @@
 //   - implicit initialization via visited bits (Section IV-C), so a tree
 //     computation never pays an O(n) clearing pass;
 //   - multi-tree sweeps that grow k trees at once with the k labels of a
-//     vertex contiguous in memory (Section IV-B), optionally relaxing
-//     them in 4-wide lanes mirroring the paper's SSE code;
+//     vertex contiguous in memory (Section IV-B), relaxing them in
+//     register-resident 4-wide lane groups mirroring the paper's SSE
+//     code;
 //   - intra-level parallelism (Section V): vertices of one level are
 //     split into blocks processed by multiple goroutines with a barrier
 //     per level;
@@ -124,15 +125,6 @@ type Options struct {
 	// [machine.MinChunkBytes, machine.MaxChunkBytes]); explicit values
 	// are used as given. Ignored when ParallelGrain pins a fixed grain.
 	ChunkBytes int
-	// VertexMajorMulti routes a compressed engine's multi-tree sweeps
-	// through the first-generation vertex-major (AoS, kdist[v*k+j])
-	// kernels instead of the lane-major decode-once family that is now
-	// the default. Kept as the differential oracle and A/B baseline,
-	// exactly as the packed kernels were for the compressed stream. The
-	// vertex-major lanes kernels keep their k%4 contract; the lane-major
-	// ones accept any k. No effect on engines without a compressed
-	// stream — their multi kernels are vertex-major regardless.
-	VertexMajorMulti bool
 }
 
 // shared is the immutable, source-independent state every Engine clone
@@ -158,15 +150,6 @@ type shared struct {
 	// pos maps an engine vertex ID to its sweep position (the inverse of
 	// order); nil when the order is the identity.
 	pos []int32
-	// laneMajor selects the multi-tree label layout: true (compressed
-	// engines by default) lays lane j out contiguously at kdist[j*n+v]
-	// and sweeps with the decode-once kernels of packedz_soa.go; false
-	// (packed/CSR engines, and compressed ones under the
-	// Options.VertexMajorMulti oracle) keeps the k labels of a vertex
-	// contiguous at kdist[v*k+j]. Everything that touches kdist — the
-	// upward lane searches, the sweep kernels, MultiDist,
-	// CopyLaneDistances — keys off this one bit.
-	laneMajor bool
 
 	// Persistent sweep scheduler state (internal/sched), shared by
 	// clones and — since metric customization — by sibling engines over
@@ -304,7 +287,6 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			s.packed = p
 		}
 	}
-	s.laneMajor = s.packedz != nil && !opt.VertexMajorMulti
 	// Chunk boundaries: a positive ParallelGrain pins the historical
 	// fixed position grain; otherwise chunks are cut so each one's
 	// stream span fits the cache byte budget (Options.ChunkBytes, or
@@ -408,7 +390,6 @@ func NewEngineSharingPool(e *Engine, h *ch.Hierarchy) (*Engine, error) {
 		numChunks:   old.numChunks,
 		chunkDep:    old.chunkDep,
 		forkJoin:    old.forkJoin,
-		laneMajor:   old.laneMajor,
 	}
 	if old.mode == SweepReordered {
 		hp, err := h.Permute(old.toEngine)
@@ -541,10 +522,10 @@ func (e *Engine) CompressionRatio() float64 {
 // Section VIII-B lower bounds; k <= 0 is treated as a single tree.
 func (e *Engine) SweepBytes(k int) int64 {
 	t := bandwidth.SweepTraffic{N: e.s.n, M: e.s.downIn.NumArcs(), K: k}
-	// Multi-tree sweeps over the vertex-major layout re-read the relax
-	// target per arc per lane; the lane-major decode-once kernels hold
-	// it in a register (bandwidth.SweepTraffic.LabelRereads).
-	t.LabelRereads = !e.s.laneMajor
+	// The CSR oracle's multi kernels re-read the relax target per arc
+	// per lane; the stream kernels hold it in locals
+	// (bandwidth.SweepTraffic.LabelRereads).
+	t.LabelRereads = e.s.packed == nil && e.s.packedz == nil
 	switch {
 	case e.s.packedz != nil:
 		t.StreamBytes = int64(e.s.packedz.ByteLen())

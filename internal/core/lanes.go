@@ -8,6 +8,8 @@ import "phast/internal/graph"
 // saturation at Inf, and store the packed minimum with the four head
 // labels. dst and src must have length 4 (enforced by full slice
 // expressions at the call sites so the compiler can drop bounds checks).
+// Only the CSR oracle's lanes kernels use it: its relax target stays in
+// memory, where the stream engines' relaxVertexK keeps it in locals.
 //
 //phast:hotpath
 func relax4(dst, src []uint32, w uint32) {

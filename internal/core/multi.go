@@ -3,98 +3,89 @@ package core
 import "phast/internal/graph"
 
 // MultiTree grows one tree per source in a single sweep (Section IV-B):
-// each vertex keeps k = len(sources) labels; the k upward CH searches
-// run sequentially, then one pass over the downward arcs relaxes all k
-// trees. Larger k improves the locality of the tail-label reads at the
-// cost of k·n label memory.
+// each vertex keeps k = len(sources) labels, contiguous at
+// kdist[v*k : v*k+k]; the k upward CH searches run sequentially, then
+// one pass over the downward arcs relaxes all k trees. Larger k
+// improves the locality of the tail-label reads at the cost of k·n
+// label memory.
 //
-// The label layout is the engine's (MultiLaneMajor): compressed engines
-// default to lane-major labels swept by the decode-once kernels of
-// packedz_soa.go, everything else keeps the k labels of a vertex
-// contiguous. If useLanes is true labels are relaxed in unrolled lane
-// groups — the stand-in for the paper's SSE 4.1 packed add/min (this
-// build has no SIMD intrinsics; see DESIGN.md). The vertex-major lanes
-// kernels require k to be a multiple of 4; the lane-major ones accept
-// any k (the last group re-spans the final lanes).
+// Packed and compressed engines relax every k with the register kernel
+// of multi_relax.go (lane groups of 4, 2 and 1 — the stand-in for the
+// paper's SSE 4.1 packed add/min; this build has no SIMD intrinsics,
+// see DESIGN.md), so useLanes has no effect on them. useLanes selects
+// the unrolled relax4 kernels of the CSR oracle (PackedOff), which
+// require k to be a multiple of 4. Every engine sweeps a k=1 batch with
+// its single-tree kernel: at k=1 the vertex-major layout is dist's.
 //
 // Labels are read back with MultiDist. Sources are original vertex IDs.
 func (e *Engine) MultiTree(sources []int32, useLanes bool) {
+	e.multiTree(sources, useLanes, false)
+}
+
+// multiTree is MultiTree, and with parallel set MultiTreeParallel:
+// the same searches and kernels, with the sweep handed to the pooled
+// scheduler when parallel is set and the engine has one.
+func (e *Engine) multiTree(sources []int32, useLanes, parallel bool) {
 	k := len(sources)
 	if k == 0 {
 		e.k = 0
 		return
 	}
-	if useLanes && k%4 != 0 && !e.s.laneMajor {
-		panic("core: lane-based MultiTree requires k to be a multiple of 4")
+	s := e.s
+	csr := s.packed == nil && s.packedz == nil
+	if useLanes && k%4 != 0 && csr {
+		panic("core: lane-based MultiTree on a CSR engine requires k to be a multiple of 4")
 	}
-	if cap(e.kdist) < k*e.s.n {
-		e.kdist = make([]uint32, k*e.s.n)
+	if cap(e.kdist) < k*s.n {
+		e.kdist = make([]uint32, k*s.n)
 	}
-	e.kdist = e.kdist[:k*e.s.n]
+	e.kdist = e.kdist[:k*s.n]
 	e.k = k
 	e.lastMulti = true
+	if k == 1 {
+		// kdist stands in for dist for one single-tree search and sweep;
+		// the swap back leaves dist's last labels in place (unreadable
+		// while lastMulti holds).
+		e.dist, e.kdist = e.kdist, e.dist
+		e.chSearch(sources[0], nil)
+		e.sweepTree(parallel)
+		e.dist, e.kdist = e.kdist, e.dist
+		return
+	}
 	e.touched = e.touched[:0]
 	for i, src := range sources {
-		if e.s.laneMajor {
-			e.chSearchLaneSoA(src, i, k)
-		} else {
-			e.chSearchLane(src, i, k)
-		}
+		e.chSearchLane(src, i, k)
 	}
-	if e.s.laneMajor {
+	var kind sweepKind
+	switch {
+	case s.packedz != nil:
+		kind = packedZMulti
+	case s.packed != nil:
+		kind = packedMulti
+	case useLanes:
+		kind = csrLanes
+	default:
+		kind = csrMulti
+	}
+	if !csr {
 		e.buildSeeds()
-		e.sweepPackedZSoA(k, useLanes)
-		return
 	}
-	if e.s.packedz != nil {
-		e.buildSeeds()
-		if useLanes {
-			e.sweepPackedZMultiLanes(k)
-		} else {
-			e.sweepPackedZMulti(k)
-		}
-		return
-	}
-	if e.s.packed != nil {
-		e.buildSeeds()
-		if useLanes {
-			e.sweepPackedMultiLanes(k)
-		} else {
-			e.sweepPackedMulti(k)
-		}
-		return
-	}
-	if useLanes {
-		e.sweepMultiLanes(k)
-	} else {
-		e.sweepMulti(k)
+	if !parallel || !e.parallelSweep(kind, k) {
+		e.scanChunkKind(kind, k, 0, int32(s.n))
 	}
 }
 
 // K returns the tree count of the last MultiTree call.
 func (e *Engine) K() int { return e.k }
 
-// MultiLaneMajor reports the engine's multi-tree label layout: true
-// when lane i's labels are contiguous at kdist[i*n : (i+1)*n] (the
-// lane-major default of compressed engines), false when the k labels of
-// engine vertex v are contiguous at kdist[v*k : v*k+k]. The accessors
-// below absorb the difference; only consumers of RawMultiDistances need
-// to ask.
-func (e *Engine) MultiLaneMajor() bool { return e.s.laneMajor }
-
 // MultiDist returns the label of original-ID vertex v in tree i of the
 // last MultiTree call.
 func (e *Engine) MultiDist(i int, v int32) uint32 {
-	if e.s.laneMajor {
-		return e.kdist[i*e.s.n+int(e.s.toEngine[v])]
-	}
 	return e.kdist[int(e.s.toEngine[v])*e.k+i]
 }
 
 // RawMultiDistances exposes the engine-ID-indexed label array of the
-// last MultiTree, in the engine's layout (MultiLaneMajor): lane-major
-// engines store lane i at [i*n : (i+1)*n], vertex-major engines store
-// the k labels of engine vertex v at [v*k : v*k+k].
+// last MultiTree: the k labels of engine vertex v at [v*k : v*k+k].
 //
 // Aliasing contract: like RawDistances, this is the engine's working
 // buffer. The next MultiTree/MultiTreeParallel call overwrites it (and a
@@ -107,9 +98,7 @@ func (e *Engine) RawMultiDistances() []uint32 { return e.kdist }
 // ID (graph.Inf marks unreached vertices). len(buf) must be n. buf is a
 // private snapshot that stays valid across later sweeps on this engine —
 // the safe read-back for results that cross a goroutine or batch
-// boundary, and the one place a lane leaves the engine's layout: the
-// copy is the SoA-to-per-tree transpose, so callers never see (or
-// depend on) which layout the sweep ran over.
+// boundary.
 func (e *Engine) CopyLaneDistances(i int, buf []uint32) {
 	if !e.lastMulti {
 		panic("core: last computation was not MultiTree; read labels with CopyDistances")
@@ -120,15 +109,7 @@ func (e *Engine) CopyLaneDistances(i int, buf []uint32) {
 	if len(buf) != e.s.n {
 		panic("core: CopyLaneDistances buffer has wrong length")
 	}
-	kd, toEngine := e.kdist, e.s.toEngine
-	if e.s.laneMajor {
-		lane := kd[i*e.s.n : (i+1)*e.s.n]
-		for orig := range buf {
-			buf[orig] = lane[toEngine[orig]]
-		}
-		return
-	}
-	k := e.k
+	kd, toEngine, k := e.kdist, e.s.toEngine, e.k
 	for orig := range buf {
 		buf[orig] = kd[int(toEngine[orig])*k+i]
 	}
@@ -170,90 +151,6 @@ func (e *Engine) chSearchLane(source int32, lane, k int) {
 				lanes[lane] = nd
 				q.update(a.Head, nd)
 			}
-		}
-	}
-}
-
-// sweepMulti relaxes all k trees in one pass with a scalar inner loop.
-//
-//phast:hotpath
-func (e *Engine) sweepMulti(k int) {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	kd := e.kdist
-	mark := e.mark
-	n := int32(e.s.n)
-	scan := func(v int32) {
-		base := int(v) * k
-		dv := kd[base : base+k]
-		if !mark[v] {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		} else {
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			ub := int(a.Head) * k
-			du := kd[ub : ub+k]
-			w := a.Weight
-			for j := 0; j < k; j++ {
-				if nd := graph.AddSat(du[j], w); nd < dv[j] {
-					dv[j] = nd
-				}
-			}
-		}
-	}
-	if e.s.order == nil {
-		for v := int32(0); v < n; v++ {
-			scan(v)
-		}
-	} else {
-		for _, v := range e.s.order {
-			scan(v)
-		}
-	}
-}
-
-// sweepMultiLanes is sweepMulti with the inner loop unrolled into 4-wide
-// lane operations, mirroring the SSE register layout: load four tail
-// labels, add four copies of the arc length, take the packed minimum
-// with four head labels (Section IV-B, "SSE Instructions").
-//
-//phast:hotpath
-func (e *Engine) sweepMultiLanes(k int) {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	kd := e.kdist
-	mark := e.mark
-	n := int32(e.s.n)
-	scan := func(v int32) {
-		base := int(v) * k
-		dv := kd[base : base+k]
-		if !mark[v] {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		} else {
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			ub := int(a.Head) * k
-			du := kd[ub : ub+k]
-			for j := 0; j+4 <= k; j += 4 {
-				relax4(dv[j:j+4:j+4], du[j:j+4:j+4], a.Weight)
-			}
-		}
-	}
-	if e.s.order == nil {
-		for v := int32(0); v < n; v++ {
-			scan(v)
-		}
-	} else {
-		for _, v := range e.s.order {
-			scan(v)
 		}
 	}
 }

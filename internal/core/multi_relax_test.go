@@ -1,0 +1,131 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"phast/internal/ch"
+	"phast/internal/graph"
+	"phast/internal/pq"
+	"phast/internal/sssp"
+)
+
+// TestCompressedMultiTreeMatchesAll is the differential suite of the
+// register-resident multi-tree relax (multi_relax.go) that packed and
+// compressed engines share. For every k in the list — the 4-, 2- and
+// 1-lane groups and their combinations, k=1's single-tree route, and
+// batches past the server's 16 — both stream engines must agree
+// label-for-label with Dijkstra and with the CSR oracle's
+// memory-resident multi kernels: sequentially and on the pooled
+// scheduler, with and without useLanes (legal at any k on stream
+// engines), in every sweep mode. Level and rank order carry explicit
+// vertex words, so the compressed kernel's head remap runs there.
+func TestCompressedMultiTreeMatchesAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			checkMultiTreeMatchesAll(t, rng, gridGraph(rng, 20, 15, 30), mode, true)
+			// A hub whose block is deeper than the staging buffer, so
+			// the compressed kernel relaxes it in several tiles.
+			checkMultiTreeMatchesAll(t, rng, hubGraph(rng, zTile+6), mode, false)
+		})
+	}
+}
+
+// checkMultiTreeMatchesAll runs the suite above on one graph. overlap
+// additionally requires the pinned-grain pooled schedule to have chunks
+// that may run concurrently.
+func checkMultiTreeMatchesAll(t *testing.T, rng *rand.Rand, g *graph.Graph, mode SweepMode, overlap bool) {
+	t.Helper()
+	n := g.NumVertices()
+	if !overlap {
+		maxDeg := 0
+		h := ch.Build(g, ch.Options{Workers: 1})
+		for v := int32(0); v < int32(n); v++ {
+			maxDeg = max(maxDeg, h.DownIn.OutDegree(v))
+		}
+		if maxDeg <= zTile {
+			t.Fatalf("deepest downward block has %d arcs, want more than zTile=%d", maxDeg, zTile)
+		}
+	}
+	want := make([][]uint32, n)
+	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
+	for s := range want {
+		d.Run(int32(s))
+		want[s] = make([]uint32, n)
+		for v := range want[s] {
+			want[s][v] = d.Dist(int32(v))
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		z, pk, csr := engineTriple(t, g, mode, workers)
+		if workers > 1 && overlap {
+			requireOverlappingChunks(t, z)
+			requireOverlappingChunks(t, pk)
+		}
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32} {
+			sources := make([]int32, k)
+			for i := range sources {
+				sources[i] = int32(rng.Intn(n))
+			}
+			csr.MultiTree(sources, k%4 == 0)
+			for _, lanes := range []bool{false, true} {
+				for _, e := range []*Engine{z, pk} {
+					name := "packed"
+					if e == z {
+						name = "compressed"
+					}
+					before := e.SchedStats().Sweeps
+					if workers > 1 {
+						e.MultiTreeParallel(sources, lanes)
+						if e.SchedStats().Sweeps == before {
+							t.Fatalf("%s k=%d: pooled sweep did not run on the scheduler", name, k)
+						}
+					} else {
+						e.MultiTree(sources, lanes)
+					}
+					for i, s := range sources {
+						for v := int32(0); v < int32(n); v++ {
+							got := e.MultiDist(i, v)
+							if got != want[s][v] || got != csr.MultiDist(i, v) {
+								t.Fatalf("n=%d %s workers %d k=%d lanes=%v lane %d src %d: dist(%d)=%d, Dijkstra %d, CSR oracle %d",
+									n, name, workers, k, lanes, i, s, v, got, want[s][v], csr.MultiDist(i, v))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// hubGraph returns n spokes joined to two hubs: a near hub by short
+// arcs and a far hub by long ones. Every path through the far hub has a
+// two-hop witness through the near hub, so contraction takes the far
+// hub first and all n of its in-arcs stay in its downward block.
+func hubGraph(rng *rand.Rand, n int) *graph.Graph {
+	b := graph.NewBuilder(n + 2)
+	near, far := int32(n), int32(n+1)
+	for v := int32(0); v < int32(n); v++ {
+		w := uint32(1 + rng.Intn(3))
+		b.MustAddArc(near, v, w)
+		b.MustAddArc(v, near, w)
+		w = uint32(1000 + rng.Intn(100))
+		b.MustAddArc(far, v, w)
+		b.MustAddArc(v, far, w)
+	}
+	return b.Build()
+}
+
+// requireOverlappingChunks fails unless e's pooled schedule has a chunk
+// that may start before its predecessor has finished, so the pooled
+// runs above really interleave chunks.
+func requireOverlappingChunks(t *testing.T, e *Engine) {
+	t.Helper()
+	for c, dep := range e.s.chunkDep {
+		if dep < int32(c)-1 {
+			return
+		}
+	}
+	t.Fatalf("%d-chunk schedule %v has no chunk independent of its predecessor", e.s.numChunks, e.s.chunkDep)
+}

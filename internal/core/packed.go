@@ -152,106 +152,3 @@ func (e *Engine) sweepPackedParents() {
 		p++
 	}
 }
-
-// sweepPackedMulti relaxes all k trees in one pass over the fused
-// stream with a scalar inner loop (the packed analogue of sweepMulti).
-// Untouched vertices have their k lanes Inf-filled inline; touched ones
-// keep the CH labels chSearchLane left in place.
-//
-//phast:hotpath
-func (e *Engine) sweepPackedMulti(k int) {
-	pk := e.s.packed
-	stream := pk.Stream()
-	hasV := pk.ExplicitVertex()
-	kd := e.kdist
-	seeds := e.seedPos
-	si := 0
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
-	}
-	p := int32(0)
-	for i := 0; i < len(stream); {
-		deg := int(stream[i])
-		i++
-		v := p
-		if hasV {
-			v = int32(stream[i])
-			i++
-		}
-		base := int(v) * k
-		dv := kd[base : base+k]
-		if p == next {
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		}
-		for end := i + 2*deg; i < end; i += 2 {
-			ub := int(stream[i]) * k
-			du := kd[ub : ub+k]
-			w := stream[i+1]
-			for j := 0; j < k; j++ {
-				nd := graph.AddSat(du[j], w)
-				if nd < dv[j] {
-					dv[j] = nd
-				}
-			}
-		}
-		p++
-	}
-}
-
-// sweepPackedMultiLanes is sweepPackedMulti with the inner loop
-// unrolled into the 4-wide relax4 lanes (Section IV-B SSE analogue).
-//
-//phast:hotpath
-func (e *Engine) sweepPackedMultiLanes(k int) {
-	pk := e.s.packed
-	stream := pk.Stream()
-	hasV := pk.ExplicitVertex()
-	kd := e.kdist
-	seeds := e.seedPos
-	si := 0
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
-	}
-	p := int32(0)
-	for i := 0; i < len(stream); {
-		deg := int(stream[i])
-		i++
-		v := p
-		if hasV {
-			v = int32(stream[i])
-			i++
-		}
-		base := int(v) * k
-		dv := kd[base : base+k : base+k]
-		if p == next {
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		}
-		for end := i + 2*deg; i < end; i += 2 {
-			ub := int(stream[i]) * k
-			du := kd[ub : ub+k : ub+k]
-			w := stream[i+1]
-			for j := 0; j+4 <= k; j += 4 {
-				relax4(dv[j:j+4:j+4], du[j:j+4:j+4], w)
-			}
-		}
-		p++
-	}
-}

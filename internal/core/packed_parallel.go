@@ -100,7 +100,9 @@ func (e *Engine) scanPackedParentsChunk(lo, hi int32) {
 }
 
 // scanPackedMultiChunk relaxes all k trees of sweep positions [lo,hi)
-// over the fused stream with a scalar inner loop.
+// over the fused stream: each vertex's (head, weight) word pairs go
+// straight from the stream to the register relax of multi_relax.go.
+// The sequential multi-tree sweep is this kernel over [0,n).
 //
 //phast:hotpath
 func (e *Engine) scanPackedMultiChunk(lo, hi int32, k int) {
@@ -123,77 +125,16 @@ func (e *Engine) scanPackedMultiChunk(lo, hi int32, k int) {
 			v = int32(stream[i])
 			i++
 		}
-		base := int(v) * k
-		dv := kd[base : base+k]
-		if p == next {
+		seeded := p == next
+		if seeded {
 			si++
 			next = -1
 			if si < len(seeds) {
 				next = seeds[si]
 			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
 		}
-		for end := i + 2*deg; i < end; i += 2 {
-			ub := int(stream[i]) * k
-			du := kd[ub : ub+k]
-			w := stream[i+1]
-			for j := 0; j < k; j++ {
-				nd := graph.AddSat(du[j], w)
-				if nd < dv[j] {
-					dv[j] = nd
-				}
-			}
-		}
-	}
-}
-
-// scanPackedLanesChunk is scanPackedMultiChunk with the inner loop
-// unrolled into the 4-wide relax4 lanes.
-//
-//phast:hotpath
-func (e *Engine) scanPackedLanesChunk(lo, hi int32, k int) {
-	pk := e.s.packed
-	stream := pk.Stream()
-	hasV := pk.ExplicitVertex()
-	kd := e.kdist
-	seeds := e.seedPos
-	si := seedLowerBound(seeds, lo)
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
-	}
-	i := pk.BlockStarts()[lo]
-	for p := lo; p < hi; p++ {
-		deg := int(stream[i])
-		i++
-		v := p
-		if hasV {
-			v = int32(stream[i])
-			i++
-		}
-		base := int(v) * k
-		dv := kd[base : base+k : base+k]
-		if p == next {
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		}
-		for end := i + 2*deg; i < end; i += 2 {
-			ub := int(stream[i]) * k
-			du := kd[ub : ub+k : ub+k]
-			w := stream[i+1]
-			for j := 0; j+4 <= k; j += 4 {
-				relax4(dv[j:j+4:j+4], du[j:j+4:j+4], w)
-			}
-		}
+		end := i + 2*deg
+		relaxVertexK(kd, k, int(v), stream[i:end], seeded)
+		i = end
 	}
 }

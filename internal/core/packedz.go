@@ -375,141 +375,3 @@ func (e *Engine) sweepPackedZParents() {
 		parent[v] = bestP
 	}
 }
-
-// sweepPackedZMulti relaxes all k trees in one pass over the compressed
-// stream with a scalar inner loop over the vertex-major (kdist[v*k+j])
-// label layout. Since the lane-major decode-once kernels of
-// packedz_soa.go became the production multi family, this runs only
-// under the Options.VertexMajorMulti differential oracle.
-//
-//phast:hotpath
-func (e *Engine) sweepPackedZMulti(k int) {
-	zk := e.s.packedz
-	stream := zk.Stream()
-	hasV := zk.ExplicitVertex()
-	order := e.s.order
-	kd := e.kdist
-	seeds := e.seedPos
-	si := 0
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
-	}
-	nb := int32(zk.NumVertices())
-	i := 0
-	for p := int32(0); p < nb; p++ {
-		hdr := uint32(stream[i])
-		i++
-		if hdr >= 0x80 {
-			hdr, i = uvarintSlow(hdr, stream, i)
-		}
-		deg := int(hdr >> 4)
-		stride, dshift, dmask, wmask := zGeom(hdr)
-		v := p
-		if hasV {
-			zz := uint32(stream[i])
-			i++
-			if zz >= 0x80 {
-				zz, i = uvarintSlow(zz, stream, i)
-			}
-			v = p + unzig(zz)
-		}
-		base := int(v) * k
-		dv := kd[base : base+k]
-		if p == next {
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		}
-		for a := 0; a < deg; a++ {
-			x := binary.LittleEndian.Uint64(stream[i:])
-			i += stride
-			d := uint32(x) & dmask
-			w := uint32(x>>dshift) & wmask
-			h := p - int32(d)
-			if hasV {
-				h = order[h]
-			}
-			ub := int(h) * k
-			du := kd[ub : ub+k]
-			for j := 0; j < k; j++ {
-				if nd := graph.AddSat(du[j], w); nd < dv[j] {
-					dv[j] = nd
-				}
-			}
-		}
-	}
-}
-
-// sweepPackedZMultiLanes is sweepPackedZMulti with the inner loop
-// unrolled into the 4-wide relax4 lanes (Section IV-B SSE analogue).
-// Vertex-major; oracle-only, like sweepPackedZMulti.
-//
-//phast:hotpath
-func (e *Engine) sweepPackedZMultiLanes(k int) {
-	zk := e.s.packedz
-	stream := zk.Stream()
-	hasV := zk.ExplicitVertex()
-	order := e.s.order
-	kd := e.kdist
-	seeds := e.seedPos
-	si := 0
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
-	}
-	nb := int32(zk.NumVertices())
-	i := 0
-	for p := int32(0); p < nb; p++ {
-		hdr := uint32(stream[i])
-		i++
-		if hdr >= 0x80 {
-			hdr, i = uvarintSlow(hdr, stream, i)
-		}
-		deg := int(hdr >> 4)
-		stride, dshift, dmask, wmask := zGeom(hdr)
-		v := p
-		if hasV {
-			zz := uint32(stream[i])
-			i++
-			if zz >= 0x80 {
-				zz, i = uvarintSlow(zz, stream, i)
-			}
-			v = p + unzig(zz)
-		}
-		base := int(v) * k
-		dv := kd[base : base+k : base+k]
-		if p == next {
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		}
-		for a := 0; a < deg; a++ {
-			x := binary.LittleEndian.Uint64(stream[i:])
-			i += stride
-			d := uint32(x) & dmask
-			w := uint32(x>>dshift) & wmask
-			h := p - int32(d)
-			if hasV {
-				h = order[h]
-			}
-			ub := int(h) * k
-			du := kd[ub : ub+k : ub+k]
-			for j := 0; j+4 <= k; j += 4 {
-				relax4(dv[j:j+4:j+4], du[j:j+4:j+4], w)
-			}
-		}
-	}
-}

@@ -139,10 +139,11 @@ func (e *Engine) scanPackedZParentsChunk(lo, hi int32) {
 	}
 }
 
-// scanPackedZMultiChunk relaxes positions [lo,hi) for all k trees with
-// a scalar inner loop over the vertex-major label layout
-// (Options.VertexMajorMulti oracle only; packedz_soa.go holds the
-// production family).
+// scanPackedZMultiChunk relaxes all k trees of sweep positions
+// [lo,hi) over the compressed stream: each block's arcs are decoded
+// once into the staging buffer (decodeZTile) and relaxed by the
+// register kernel of multi_relax.go, which the packed engines share.
+// The sequential multi-tree sweep is this kernel over [0,n).
 //
 //phast:hotpath
 func (e *Engine) scanPackedZMultiChunk(lo, hi int32, k int) {
@@ -157,6 +158,7 @@ func (e *Engine) scanPackedZMultiChunk(lo, hi int32, k int) {
 	if si < len(seeds) {
 		next = seeds[si]
 	}
+	var st zStage
 	i := zk.BlockStarts()[lo]
 	for p := lo; p < hi; p++ {
 		hdr := uint32(stream[i])
@@ -165,7 +167,6 @@ func (e *Engine) scanPackedZMultiChunk(lo, hi int32, k int) {
 			hdr, i = uvarintSlow(hdr, stream, i)
 		}
 		deg := int(hdr >> 4)
-		stride, dshift, dmask, wmask := zGeom(hdr)
 		v := p
 		if hasV {
 			zz := uint32(stream[i])
@@ -175,100 +176,31 @@ func (e *Engine) scanPackedZMultiChunk(lo, hi int32, k int) {
 			}
 			v = p + unzig(zz)
 		}
-		base := int(v) * k
-		dv := kd[base : base+k]
-		if p == next {
+		seeded := p == next
+		if seeded {
 			si++
 			next = -1
 			if si < len(seeds) {
 				next = seeds[si]
 			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
 		}
-		for a := 0; a < deg; a++ {
-			x := binary.LittleEndian.Uint64(stream[i:])
-			i += stride
-			d := uint32(x) & dmask
-			w := uint32(x>>dshift) & wmask
-			h := p - int32(d)
+		// deg == 0 still relaxes one empty tile: its stores are the
+		// vertex's Inf initialization.
+		for rem := deg; ; {
+			tn := min(rem, zTile)
+			i = decodeZTile(&st, stream, i, p, hdr, tn)
+			arcs := st.arcs[:2*tn]
 			if hasV {
-				h = order[h]
-			}
-			ub := int(h) * k
-			du := kd[ub : ub+k]
-			for j := 0; j < k; j++ {
-				if nd := graph.AddSat(du[j], w); nd < dv[j] {
-					dv[j] = nd
+				for t := 0; t < len(arcs); t += 2 {
+					arcs[t] = uint32(order[arcs[t]])
 				}
 			}
-		}
-	}
-}
-
-// scanPackedZLanesChunk is scanPackedZMultiChunk with the inner loop
-// unrolled into the 4-wide relax4 lanes.
-//
-//phast:hotpath
-func (e *Engine) scanPackedZLanesChunk(lo, hi int32, k int) {
-	zk := e.s.packedz
-	stream := zk.Stream()
-	hasV := zk.ExplicitVertex()
-	order := e.s.order
-	kd := e.kdist
-	seeds := e.seedPos
-	si := seedLowerBound(seeds, lo)
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
-	}
-	i := zk.BlockStarts()[lo]
-	for p := lo; p < hi; p++ {
-		hdr := uint32(stream[i])
-		i++
-		if hdr >= 0x80 {
-			hdr, i = uvarintSlow(hdr, stream, i)
-		}
-		deg := int(hdr >> 4)
-		stride, dshift, dmask, wmask := zGeom(hdr)
-		v := p
-		if hasV {
-			zz := uint32(stream[i])
-			i++
-			if zz >= 0x80 {
-				zz, i = uvarintSlow(zz, stream, i)
+			relaxVertexK(kd, k, int(v), arcs, seeded)
+			rem -= tn
+			if rem <= 0 {
+				break
 			}
-			v = p + unzig(zz)
-		}
-		base := int(v) * k
-		dv := kd[base : base+k : base+k]
-		if p == next {
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
-		} else {
-			for j := range dv {
-				dv[j] = graph.Inf
-			}
-		}
-		for a := 0; a < deg; a++ {
-			x := binary.LittleEndian.Uint64(stream[i:])
-			i += stride
-			d := uint32(x) & dmask
-			w := uint32(x>>dshift) & wmask
-			h := p - int32(d)
-			if hasV {
-				h = order[h]
-			}
-			ub := int(h) * k
-			du := kd[ub : ub+k : ub+k]
-			for j := 0; j+4 <= k; j += 4 {
-				relax4(dv[j:j+4:j+4], du[j:j+4:j+4], w)
-			}
+			seeded = true // later tiles continue from the stored minima
 		}
 	}
 }

@@ -3,8 +3,8 @@ package core
 import "phast/internal/graph"
 
 // Parallel sweep entry points and the CSR chunk kernels they schedule.
-// All parallel kernel families (single-tree, parents, scalar multi,
-// k-lane; CSR and packed) run as chunk scans on the persistent
+// All parallel kernel families (single-tree, parents, multi-tree; CSR,
+// packed and compressed) run as chunk scans on the persistent
 // scheduler of scheduler.go: the entry point runs the upward search,
 // picks the kernel family, and hands fixed-size position chunks to the
 // parked worker pool with dependency-bounded starts. The per-level
@@ -19,28 +19,7 @@ func (e *Engine) TreeParallel(source int32) {
 	e.hasParents = false
 	e.lastMulti = false
 	e.chSearch(source, nil)
-	if e.s.packedz != nil {
-		e.buildSeeds()
-		if !e.parallelSweep(packedZSingle, 1) {
-			e.sweepPackedZ()
-		}
-		return
-	}
-	if e.s.packed != nil {
-		e.buildSeeds()
-		if !e.parallelSweep(packedSingle, 1) {
-			e.sweepPacked()
-		}
-		return
-	}
-	if e.parallelSweep(csrSingle, 1) {
-		return
-	}
-	if e.s.order == nil {
-		e.sweepIdentity()
-	} else {
-		e.sweepOrdered()
-	}
+	e.sweepTree(true)
 }
 
 // TreeWithParentsParallel is TreeParallel additionally recording, for
@@ -82,86 +61,11 @@ func (e *Engine) TreeWithParentsParallel(source int32) {
 // MultiTreeParallel combines the k-sources-per-sweep batching of
 // Section IV-B with the scheduled parallel sweep: the k upward searches
 // run sequentially (they are microseconds), then the workers relax all
-// k lanes of every chunk they claim. useLanes selects the unrolled
-// lane-group relaxation (vertex-major engines then require k to be a
-// multiple of 4; lane-major engines accept any k), mirroring MultiTree.
-// Falls back to the sequential multi-sweep when a single worker is
-// configured or the graph is smaller than one chunk.
+// k lanes of every chunk they claim, with the kernels and useLanes
+// contract of MultiTree. Falls back to the sequential multi-sweep when
+// a single worker is configured or the graph is smaller than one chunk.
 func (e *Engine) MultiTreeParallel(sources []int32, useLanes bool) {
-	k := len(sources)
-	if k == 0 {
-		e.k = 0
-		return
-	}
-	if useLanes && k%4 != 0 && !e.s.laneMajor {
-		panic("core: lane-based MultiTreeParallel requires k to be a multiple of 4")
-	}
-	if cap(e.kdist) < k*e.s.n {
-		e.kdist = make([]uint32, k*e.s.n)
-	}
-	e.kdist = e.kdist[:k*e.s.n]
-	e.k = k
-	e.lastMulti = true
-	e.touched = e.touched[:0]
-	for i, src := range sources {
-		if e.s.laneMajor {
-			e.chSearchLaneSoA(src, i, k)
-		} else {
-			e.chSearchLane(src, i, k)
-		}
-	}
-	if e.s.laneMajor {
-		e.buildSeeds()
-		kind := packedZMultiSoA
-		if useLanes {
-			kind = packedZLanesSoA
-		}
-		if !e.parallelSweep(kind, k) {
-			e.sweepPackedZSoA(k, useLanes)
-		}
-		return
-	}
-	if e.s.packedz != nil {
-		e.buildSeeds()
-		kind := packedZMulti
-		if useLanes {
-			kind = packedZLanes
-		}
-		if !e.parallelSweep(kind, k) {
-			if useLanes {
-				e.sweepPackedZMultiLanes(k)
-			} else {
-				e.sweepPackedZMulti(k)
-			}
-		}
-		return
-	}
-	if e.s.packed != nil {
-		e.buildSeeds()
-		kind := packedMulti
-		if useLanes {
-			kind = packedLanes
-		}
-		if !e.parallelSweep(kind, k) {
-			if useLanes {
-				e.sweepPackedMultiLanes(k)
-			} else {
-				e.sweepPackedMulti(k)
-			}
-		}
-		return
-	}
-	kind := csrMulti
-	if useLanes {
-		kind = csrLanes
-	}
-	if !e.parallelSweep(kind, k) {
-		if useLanes {
-			e.sweepMultiLanes(k)
-		} else {
-			e.sweepMulti(k)
-		}
-	}
+	e.multiTree(sources, useLanes, true)
 }
 
 // scanCSRChunk relaxes sweep positions [lo,hi) of the single-tree CSR

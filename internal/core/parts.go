@@ -185,10 +185,6 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 		numChunks:     numChunks,
 		chunkDep:      p.ChunkDep,
 		forkJoin:      p.ForkJoin,
-		// Restored compressed engines always run the production
-		// lane-major multi kernels; the vertex-major oracle is a
-		// construction-time debugging option, not snapshot state.
-		laneMajor: p.PackedZ != nil,
 		hold:          info.Hold,
 		snapshotBytes: info.Bytes,
 		coldStart:     info.ColdStart,

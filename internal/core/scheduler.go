@@ -32,24 +32,15 @@ const (
 	packedSingle
 	packedParents
 	packedMulti
-	packedLanes
 	packedZSingle
 	packedZParents
 	packedZMulti
-	packedZLanes
-	// The lane-major decode-once compressed multi family
-	// (packedz_soa.go); the packedZMulti/packedZLanes kinds above are
-	// its vertex-major differential oracle.
-	packedZMultiSoA
-	packedZLanesSoA
 )
 
 // multiKind reports whether the kind sweeps k trees (its level-size
 // threshold under the fork-join oracle scales with k).
 func (k sweepKind) multiKind() bool {
-	return k == csrMulti || k == csrLanes || k == packedMulti || k == packedLanes ||
-		k == packedZMulti || k == packedZLanes ||
-		k == packedZMultiSoA || k == packedZLanesSoA
+	return k == csrMulti || k == csrLanes || k == packedMulti || k == packedZMulti
 }
 
 // SchedStats is a snapshot of the persistent scheduler's counters,
@@ -166,19 +157,11 @@ func (e *Engine) scanChunkKind(kind sweepKind, k int, lo, hi int32) {
 		e.scanPackedParentsChunk(lo, hi)
 	case packedMulti:
 		e.scanPackedMultiChunk(lo, hi, k)
-	case packedLanes:
-		e.scanPackedLanesChunk(lo, hi, k)
 	case packedZSingle:
 		e.scanPackedZChunk(lo, hi)
 	case packedZParents:
 		e.scanPackedZParentsChunk(lo, hi)
 	case packedZMulti:
 		e.scanPackedZMultiChunk(lo, hi, k)
-	case packedZLanes:
-		e.scanPackedZLanesChunk(lo, hi, k)
-	case packedZMultiSoA:
-		e.scanPackedZSoAChunk(lo, hi, k, false)
-	case packedZLanesSoA:
-		e.scanPackedZSoAChunk(lo, hi, k, true)
 	}
 }

@@ -10,20 +10,33 @@ func (e *Engine) Tree(source int32) {
 	e.hasParents = false
 	e.lastMulti = false
 	e.chSearch(source, nil)
-	if e.s.packedz != nil {
+	e.sweepTree(false)
+}
+
+// sweepTree is the single-tree second phase after chSearch: on the
+// pooled scheduler when parallel is set and the engine has one, else
+// the engine's sequential kernel.
+func (e *Engine) sweepTree(parallel bool) {
+	switch {
+	case e.s.packedz != nil:
 		e.buildSeeds()
-		e.sweepPackedZ()
-		return
-	}
-	if e.s.packed != nil {
+		if !parallel || !e.parallelSweep(packedZSingle, 1) {
+			e.sweepPackedZ()
+		}
+	case e.s.packed != nil:
 		e.buildSeeds()
-		e.sweepPacked()
-		return
-	}
-	if e.s.order == nil {
-		e.sweepIdentity()
-	} else {
-		e.sweepOrdered()
+		if !parallel || !e.parallelSweep(packedSingle, 1) {
+			e.sweepPacked()
+		}
+	default:
+		if parallel && e.parallelSweep(csrSingle, 1) {
+			return
+		}
+		if e.s.order == nil {
+			e.sweepIdentity()
+		} else {
+			e.sweepOrdered()
+		}
 	}
 }
 

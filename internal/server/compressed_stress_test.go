@@ -15,15 +15,16 @@ import (
 	"phast/internal/sssp"
 )
 
-// TestServerStressCompressedBatch drives the dispatcher's batch path —
-// MultiTreeParallel over pooled engines followed by per-lane
-// CopyLaneDistances — on a compressed engine, whose multi kernels run
-// the lane-major (SoA) layout of packedz_soa.go. Written for -race:
-// concurrent QueryMany callers force lanes from different callers into
-// shared sweeps, so the SoA transpose in CopyLaneDistances and the
-// chunk-scheduled decode-once kernels interleave with admission and
-// result recycling. Every distance is checked against Dijkstra, so a
-// torn or misrouted lane fails loudly rather than racing silently.
+// TestServerStressCompressedBatch drives the executors' batch path —
+// MultiTree over each executor's engine followed by per-lane
+// CopyLaneDistances — on a compressed engine, whose multi kernel
+// decodes each block into a staging buffer before the register relax
+// it shares with packed engines. Written for -race: concurrent
+// QueryMany callers force lanes from different callers into shared
+// sweeps, so the vertex-major copy-out interleaves with admission and
+// result recycling. Every distance is checked against Dijkstra and
+// against a packed engine's lanes, so a torn or misrouted lane fails
+// loudly rather than racing silently.
 func TestServerStressCompressedBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
 	g := gridGraph(rng, 9, 8, 35)
@@ -35,8 +36,12 @@ func TestServerStressCompressedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !proto.MultiLaneMajor() {
-		t.Fatal("compressed engine did not mount the lane-major multi kernels")
+	if proto.PackedZ() == nil {
+		t.Fatal("CompressedSweep engine has no compressed stream")
+	}
+	packed, err := core.NewEngine(h, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	s, err := server.New(proto, server.Options{
 		MaxBatch: 6, Engines: 2, QueueSize: 16,
@@ -47,14 +52,23 @@ func TestServerStressCompressedBatch(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 
-	// Ground truth per source, computed once up front.
+	// Ground truth per source, computed once up front: Dijkstra, and
+	// the packed engine's vertex-major lanes must agree with it.
 	want := make([][]uint32, n)
 	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
+	all := make([]int32, n)
+	for v := range all {
+		all[v] = int32(v)
+	}
+	packed.MultiTree(all, false)
 	for v := 0; v < n; v++ {
 		d.Run(int32(v))
 		want[v] = make([]uint32, n)
 		for u := int32(0); u < int32(n); u++ {
 			want[v][u] = d.Dist(u)
+			if got := packed.MultiDist(v, u); got != want[v][u] {
+				t.Fatalf("packed lane %d: dist(%d)=%d, Dijkstra %d", v, u, got, want[v][u])
+			}
 		}
 	}
 

@@ -10,11 +10,16 @@
 // per batch instead of once per tree. TreeServer therefore never runs
 // one sweep per request: a dispatcher goroutine collects concurrent
 // requests into batches of up to MaxBatch sources (with a small linger
-// window so a lone request does not wait forever), hands each batch to a
-// pooled engine running MultiTreeParallel (Section IV-B × Section V),
-// and fans the per-lane results back out to the callers. Results are
-// copied into pooled buffers via CopyLaneDistances, so callers never
-// alias engine state and engines are immediately reusable.
+// window so a lone request does not wait forever), hands each batch to
+// one of Engines executors, and fans the per-lane results back out to
+// the callers. Each executor sweeps its batch with the sequential
+// MultiTree on its own goroutine: with many sources in flight, the
+// paper gives each core its own sources (Section V), and the executors
+// — GOMAXPROCS of them by default — are those cores, so a batch never
+// waits on the chunk scheduler's dependency frontier or pays its
+// hand-offs. Results are copied into pooled buffers via
+// CopyLaneDistances, so callers never alias engine state and engines
+// are immediately reusable.
 //
 // # Metric epochs
 //
@@ -234,11 +239,13 @@ type Stats struct {
 	// of the default metric included).
 	MetricSwaps uint64
 	// SchedSweeps/SchedChunks/SchedStalls/SchedIdle mirror the persistent
-	// sweep scheduler's counters (core.SchedStats). The server's engine
-	// clones all share one parked worker pool, so these aggregate every
-	// executor's sweeps: SchedStalls is how often a worker waited on the
-	// dependency frontier, SchedIdle how often a parked worker woke for a
-	// sweep that had already finished.
+	// sweep scheduler's counters (core.SchedStats) of the worker pool the
+	// server's engines share. Serving does not feed them — executors
+	// sweep sequentially — so they count only pooled work others run on
+	// that pool: parallel sweeps on the prototype engine or its siblings
+	// and customization passes. SchedStalls is how often a worker waited
+	// on the dependency frontier, SchedIdle how often a parked worker
+	// woke for a sweep that had already finished.
 	SchedSweeps uint64
 	SchedChunks uint64
 	SchedStalls uint64
@@ -673,7 +680,7 @@ func (s *TreeServer) executor(idx int) {
 				sources = append(sources, r.source)
 			}
 			sweepStart := time.Now()
-			eng.MultiTreeParallel(sources, false)
+			eng.MultiTree(sources, false)
 			s.sweepNanos.Add(uint64(time.Since(sweepStart).Nanoseconds()))
 			s.sweepBytes.Add(uint64(eng.SweepBytes(len(sources))))
 			s.batchCount.Add(1)
@@ -690,8 +697,10 @@ func (s *TreeServer) executor(idx int) {
 				res.epoch = set.epoch
 				res.metric = set.name
 				eng.CopyLaneDistances(i, res.dist)
-				r.done <- result{res: res}
+				// Count before delivering, so a caller that has its
+				// result also sees it in Stats().Queries.
 				s.queries.Add(1)
+				r.done <- result{res: res}
 			}
 		}
 	}
