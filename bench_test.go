@@ -92,8 +92,8 @@ func (f *fixture) engineOpts(b *testing.B, opt core.Options) *core.Engine {
 }
 
 // reportSweepGBps attaches the modeled achieved bandwidth of the sweep:
-// the engine's bytes-touched model for its active layout (packed stream
-// or legacy CSR+mark, k-lane aware) divided by wall time. The wall time
+// the engine's bytes-touched model for its sweep stream (packed or
+// compressed, k-lane aware) divided by wall time. The wall time
 // includes the upward CH search, so the figure is conservative.
 func reportSweepGBps(b *testing.B, e *core.Engine, k int) {
 	b.ReportMetric(bandwidth.GBps(e.SweepBytes(k)*int64(b.N), b.Elapsed()), "modeled-GB/s")
@@ -165,20 +165,6 @@ func BenchmarkTable1_PHASTReordered(b *testing.B) {
 	reportSweepGBps(b, e, 1)
 }
 
-// BenchmarkTable1_PHASTReorderedLegacy is the A/B twin of
-// BenchmarkTable1_PHASTReordered on the pre-packed CSR+mark kernels
-// (Options.PackedSweep = PackedOff); cmd/benchsmoke compares the pair
-// and fails CI if the packed stream is slower.
-func BenchmarkTable1_PHASTReorderedLegacy(b *testing.B) {
-	f := getFixture(b)
-	e := f.engineOpts(b, core.Options{Mode: core.SweepReordered, Workers: 1, PackedSweep: core.PackedOff})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Tree(f.src(i))
-	}
-	reportSweepGBps(b, e, 1)
-}
-
 func BenchmarkTable1_PHASTReorderedParallel(b *testing.B) {
 	f := getFixture(b)
 	e := f.engine(b, core.SweepReordered, 0)
@@ -191,37 +177,25 @@ func BenchmarkTable1_PHASTReorderedParallel(b *testing.B) {
 
 // ---- Table II: multiple trees per sweep -------------------------------
 
-func benchMultiTree(b *testing.B, k int, lanes bool) {
-	benchMultiTreePacked(b, k, lanes, core.PackedDefault)
-}
-
-func benchMultiTreePacked(b *testing.B, k int, lanes bool, packed core.PackedSetting) {
+func benchMultiTree(b *testing.B, k int) {
 	f := getFixture(b)
-	e := f.engineOpts(b, core.Options{Mode: core.SweepReordered, Workers: 1, PackedSweep: packed})
+	e := f.engine(b, core.SweepReordered, 1)
 	batch := make([]int32, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range batch {
 			batch[j] = f.src(i*k + j)
 		}
-		e.MultiTree(batch, lanes)
+		e.MultiTree(batch, false)
 	}
 	// report per-tree cost: one op grows k trees
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/tree")
 	reportSweepGBps(b, e, k)
 }
 
-func BenchmarkTable2_MultiTree_k4(b *testing.B)        { benchMultiTree(b, 4, false) }
-func BenchmarkTable2_MultiTree_k8(b *testing.B)        { benchMultiTree(b, 8, false) }
-func BenchmarkTable2_MultiTree_k16(b *testing.B)       { benchMultiTree(b, 16, false) }
-func BenchmarkTable2_MultiTree_k4_Lanes(b *testing.B)  { benchMultiTree(b, 4, true) }
-func BenchmarkTable2_MultiTree_k8_Lanes(b *testing.B)  { benchMultiTree(b, 8, true) }
-func BenchmarkTable2_MultiTree_k16_Lanes(b *testing.B) { benchMultiTree(b, 16, true) }
-
-// Legacy A/B twin for the multi-tree sweep (see PHASTReorderedLegacy).
-func BenchmarkTable2_MultiTree_k16_Legacy(b *testing.B) {
-	benchMultiTreePacked(b, 16, false, core.PackedOff)
-}
+func BenchmarkTable2_MultiTree_k4(b *testing.B)  { benchMultiTree(b, 4) }
+func BenchmarkTable2_MultiTree_k8(b *testing.B)  { benchMultiTree(b, 8) }
+func BenchmarkTable2_MultiTree_k16(b *testing.B) { benchMultiTree(b, 16) }
 
 // ---- Table III: GPHAST on the simulated GTX 580 -----------------------
 
@@ -277,8 +251,8 @@ func BenchmarkTable5_ArchitectureProjection(b *testing.B) {
 // ---- Table VI: best configurations and energy -------------------------
 
 func BenchmarkTable6_PHASTBestConfig(b *testing.B) {
-	// The winning CPU configuration: 16 trees per sweep with lanes.
-	benchMultiTree(b, 16, true)
+	// The winning CPU configuration: 16 trees per sweep.
+	benchMultiTree(b, 16)
 }
 
 func BenchmarkTable6_EnergyModel(b *testing.B) {

@@ -1,10 +1,13 @@
 // Command benchsmoke is the CI benchmark smoke check, with two gated
 // metrics:
 //
-//   - sweep: times the packed single-stream sweep kernels against their
-//     legacy CSR+mark twins on the europe-m fixture (same DFS layout and
-//     source stream as the root bench_test.go), writes BENCH_3.json, and
-//     exits non-zero if packed is slower than legacy beyond tolerance.
+//   - sweep: times the packed single-tree and k=16 sweeps against a
+//     sequential stream over the same downward graph (the Section
+//     VIII-B lower bound) on the europe-m fixture (same DFS layout and
+//     source stream as the root bench_test.go), in interleaved rounds.
+//     It exits non-zero if the median ns per tree ÷ stream time exceeds
+//     tolerance × the baseline recorded in the report at -out, and
+//     writes the report there with that baseline carried forward.
 //   - chbuild: times batch-parallel CH preprocessing at Workers 1 and
 //     NumCPU on the same fixture graph, writes BENCH_4.json, and exits
 //     non-zero if the parallel build is slower than the sequential one
@@ -62,12 +65,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,27 +86,42 @@ import (
 	"phast/internal/roadnet"
 )
 
-// Result is one measured benchmark cell.
-type Result struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	NsPerTree   float64 `json:"ns_per_tree"`
-	ModeledGBps float64 `json:"modeled_gbps"`
+// SweepRound is one round of the sweep gate: the fastest burst of
+// bandwidth.Sequential passes over the fixture's downward graph, and of
+// the packed single-tree and k=16 sweeps on the round's fresh engines.
+type SweepRound struct {
+	StreamNs       float64 `json:"stream_ns"`
+	TreeNsPerTree  float64 `json:"tree_ns_per_tree"`
+	MultiNsPerTree float64 `json:"multi_k16_ns_per_tree"`
+	RatioTree      float64 `json:"ratio_tree"`
+	RatioMulti     float64 `json:"ratio_multi_k16"`
 }
 
-// Report is the BENCH_3.json schema.
+// SweepBaseline is the recorded reference the sweep gate compares
+// against: median ns per tree ÷ stream time, for one tree and per tree
+// of a k=16 sweep, with the toolchain that recorded them.
+type SweepBaseline struct {
+	GoVersion  string  `json:"go_version"`
+	RatioTree  float64 `json:"ratio_tree"`
+	RatioMulti float64 `json:"ratio_multi_k16"`
+}
+
+// Report is the BENCH_3.json schema: the sweep gate. Dividing each
+// sweep by the sequential stream over the same bytes (the Section
+// VIII-B lower bound) makes the ratios comparable across runs on hosts
+// of different speed, so they gate against a recorded baseline.
 type Report struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
 	Instance  string `json:"instance"`
 	N         int    `json:"n"`
 	M         int    `json:"m"`
-	// SpeedupTree is legacy ns/tree divided by packed ns/tree for the
-	// single-tree sweep (>1 means the packed stream wins); SpeedupMulti
-	// is the same ratio for the k=16 multi-tree sweep.
-	SpeedupTree  float64  `json:"speedup_tree"`
-	SpeedupMulti float64  `json:"speedup_multi_k16"`
-	Results      []Result `json:"results"`
+	// RatioTree and RatioMulti are the medians over rounds of ns per
+	// tree ÷ stream time; Baseline is carried forward unchanged.
+	RatioTree  float64       `json:"ratio_tree"`
+	RatioMulti float64       `json:"ratio_multi_k16"`
+	Baseline   SweepBaseline `json:"baseline"`
+	Rounds     []SweepRound  `json:"rounds"`
 }
 
 func fixtureGraph(preset roadnet.Preset) (*graph.Graph, error) {
@@ -126,8 +147,8 @@ func buildFixture(preset roadnet.Preset) (*graph.Graph, *ch.Hierarchy, []int32, 
 	return g, h, sources, nil
 }
 
-func engine(h *ch.Hierarchy, packed core.PackedSetting) (*core.Engine, error) {
-	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: 1, PackedSweep: packed})
+func engine(h *ch.Hierarchy) (*core.Engine, error) {
+	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: 1})
 }
 
 // rounds is how many interleaved A/B measurements each cell gets; the
@@ -136,6 +157,28 @@ func engine(h *ch.Hierarchy, packed core.PackedSetting) (*core.Engine, error) {
 // CPU frequency ramp-up, and run order all vary across rounds instead
 // of biasing every measurement the same way.
 const rounds = 3
+
+// sweepRounds is the sweep gate's round count: it gates on a median, so
+// it takes an odd count large enough that one disturbed round cannot
+// move the verdict.
+const sweepRounds = 5
+
+// sweepBursts is how many short interleaved bursts of each measurement
+// one round of the sweep gate takes; a round keeps each measurement's
+// fastest burst. On a shared host the stream and the sweeps slow down
+// together when a neighbour takes memory bandwidth or CPU, so timing
+// them in alternation over ~10 ms bursts lets that drift cancel in
+// their ratio, and the fastest burst drops the interrupted ones.
+const sweepBursts = 24
+
+// burstNs runs fn ops times and returns the mean ns per op.
+func burstNs(ops int, fn func()) float64 {
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		fn()
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(ops)
+}
 
 // benchTree times single-tree sweeps once and returns ns/op plus the
 // modeled bandwidth at that speed.
@@ -162,44 +205,55 @@ func benchMulti(e *core.Engine, sources []int32, k int) (float64, float64) {
 	return float64(r.NsPerOp()), bandwidth.GBps(e.SweepBytes(k)*int64(r.N), r.T)
 }
 
-// measure runs `rounds` fresh-engine A/B rounds of fn and returns each
-// variant's best cell.
-func measure(h *ch.Hierarchy, name string, k int, warm []int32,
-	fn func(e *core.Engine) (float64, float64)) (p, l Result, err error) {
-	p = Result{Name: name + "_packed", NsPerOp: math.Inf(1)}
-	l = Result{Name: name + "_legacy", NsPerOp: math.Inf(1)}
-	for r := 0; r < rounds; r++ {
-		settings := []core.PackedSetting{core.PackedOn, core.PackedOff}
-		if r%2 == 1 { // alternate construction and run order
-			settings[0], settings[1] = settings[1], settings[0]
-		}
-		for _, setting := range settings {
-			e, err := engine(h, setting)
-			if err != nil {
-				return p, l, err
-			}
-			e.Tree(warm[0]) // pay first-touch faults outside the timer
-			ns, gbps := fn(e)
-			res := &p
-			if setting == core.PackedOff {
-				res = &l
-			}
-			if ns < res.NsPerOp {
-				res.NsPerOp = ns
-				res.NsPerTree = ns / float64(k)
-				res.ModeledGBps = gbps
-			}
-		}
+// median returns the median of xs (the mean of the middle pair for an
+// even count). xs is reordered.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
 	}
-	return p, l, nil
+	return xs[m]
 }
 
+// readSweepBaseline returns the baseline recorded in the report at
+// path. ok is false when no report exists there yet; a report without
+// a baseline is an error, so a gate cannot silently re-baseline itself.
+func readSweepBaseline(path string) (base SweepBaseline, ok bool, err error) {
+	buf, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return base, false, nil
+	}
+	if err != nil {
+		return base, false, err
+	}
+	var rep Report
+	if err := json.Unmarshal(buf, &rep); err != nil {
+		return base, false, fmt.Errorf("%s: %w", path, err)
+	}
+	if rep.Baseline.RatioTree <= 0 || rep.Baseline.RatioMulti <= 0 {
+		return base, false, fmt.Errorf("%s records no sweep baseline", path)
+	}
+	return rep.Baseline, true, nil
+}
+
+// runSweep is the sweep gate. Each round builds fresh engines and
+// times, in rotating order and in short interleaved bursts, a
+// sequential stream over the fixture's downward graph
+// (bandwidth.Sequential, the Section VIII-B lower bound) and the packed
+// single-tree and k=16 sweeps. The gated quantities are the medians
+// over rounds of ns per tree ÷ stream time; each must stay within
+// tolerance × the baseline recorded in the report at out. Without a
+// report there, this run's medians become the baseline.
 func runSweep(out, preset string, tolerance float64) error {
+	base, haveBase, err := readSweepBaseline(out)
+	if err != nil {
+		return err
+	}
 	g, h, sources, err := buildFixture(roadnet.Preset(preset))
 	if err != nil {
 		return err
 	}
-
 	rep := Report{
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
@@ -207,19 +261,61 @@ func runSweep(out, preset string, tolerance float64) error {
 		N:         g.NumVertices(),
 		M:         g.NumArcs(),
 	}
-	pt, lt, err := measure(h, "Table1_PHASTReordered", 1, sources,
-		func(e *core.Engine) (float64, float64) { return benchTree(e, sources) })
-	if err != nil {
-		return err
+	dist := make([]uint32, g.NumVertices())
+	const k = 16
+	batch := make([]int32, k)
+	var ratioTree, ratioMulti []float64
+	for r := 0; r < sweepRounds; r++ {
+		tree, err := engine(h)
+		if err != nil {
+			return err
+		}
+		multi, err := engine(h)
+		if err != nil {
+			return err
+		}
+		downIn := tree.Hierarchy().DownIn
+		next := 0 // source cursor, shared so every burst sees new sources
+		src := func() int32 { next++; return sources[next%len(sources)] }
+		// Warm-up: first-touch faults and the k·n label allocation.
+		tree.Tree(src())
+		multi.MultiTree(sources[:k], false)
+		round := SweepRound{StreamNs: math.Inf(1), TreeNsPerTree: math.Inf(1), MultiNsPerTree: math.Inf(1)}
+		steps := []func(){
+			func() {
+				round.StreamNs = min(round.StreamNs, burstNs(32, func() { bandwidth.Sequential(downIn, dist, 1) }))
+			},
+			func() {
+				round.TreeNsPerTree = min(round.TreeNsPerTree, burstNs(8, func() { tree.Tree(src()) }))
+			},
+			func() {
+				ns := burstNs(2, func() {
+					for j := range batch {
+						batch[j] = src()
+					}
+					multi.MultiTree(batch, false)
+				})
+				round.MultiNsPerTree = min(round.MultiNsPerTree, ns/k)
+			},
+		}
+		for b := 0; b < sweepBursts; b++ {
+			for i := range steps {
+				steps[(i+r+b)%len(steps)]()
+			}
+		}
+		round.RatioTree = round.TreeNsPerTree / round.StreamNs
+		round.RatioMulti = round.MultiNsPerTree / round.StreamNs
+		rep.Rounds = append(rep.Rounds, round)
+		ratioTree = append(ratioTree, round.RatioTree)
+		ratioMulti = append(ratioMulti, round.RatioMulti)
 	}
-	pm, lm, err := measure(h, "Table2_MultiTree_k16", 16, sources,
-		func(e *core.Engine) (float64, float64) { return benchMulti(e, sources, 16) })
-	if err != nil {
-		return err
+	rep.RatioTree = median(ratioTree)
+	rep.RatioMulti = median(ratioMulti)
+	if !haveBase {
+		base = SweepBaseline{GoVersion: rep.GoVersion, RatioTree: rep.RatioTree, RatioMulti: rep.RatioMulti}
+		fmt.Printf("sweep: no report at %s; recording this run as the baseline\n", out)
 	}
-	rep.Results = []Result{pt, lt, pm, lm}
-	rep.SpeedupTree = lt.NsPerTree / pt.NsPerTree
-	rep.SpeedupMulti = lm.NsPerTree / pm.NsPerTree
+	rep.Baseline = base
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -228,18 +324,18 @@ func runSweep(out, preset string, tolerance float64) error {
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-32s %12.0f ns/op %12.0f ns/tree %8.2f modeled GB/s\n",
-			r.Name, r.NsPerOp, r.NsPerTree, r.ModeledGBps)
+	for i, r := range rep.Rounds {
+		fmt.Printf("round %d: stream %9.0f ns, tree %9.0f ns (%.3fx), k=16 %9.0f ns/tree (%.3fx)\n",
+			i, r.StreamNs, r.TreeNsPerTree, r.RatioTree, r.MultiNsPerTree, r.RatioMulti)
 	}
-	fmt.Printf("packed speedup: %.3fx single-tree, %.3fx multi k=16 (gate: ratio ≤ %.2f)\n",
-		rep.SpeedupTree, rep.SpeedupMulti, tolerance)
+	fmt.Printf("sweep/stream median: %.3fx single-tree, %.3fx k=16 per tree (baseline %.3fx, %.3fx from %s; gate: ≤ %.2f × baseline)\n",
+		rep.RatioTree, rep.RatioMulti, base.RatioTree, base.RatioMulti, base.GoVersion, tolerance)
 
-	if ratio := pt.NsPerTree / lt.NsPerTree; ratio > tolerance {
-		return fmt.Errorf("packed single-tree sweep is %.3fx legacy time (tolerance %.2f)", ratio, tolerance)
+	if rep.RatioTree > base.RatioTree*tolerance {
+		return fmt.Errorf("single-tree sweep is %.3fx the stream time, baseline %.3fx (tolerance %.2f)", rep.RatioTree, base.RatioTree, tolerance)
 	}
-	if ratio := pm.NsPerTree / lm.NsPerTree; ratio > tolerance {
-		return fmt.Errorf("packed multi-tree sweep is %.3fx legacy time (tolerance %.2f)", ratio, tolerance)
+	if rep.RatioMulti > base.RatioMulti*tolerance {
+		return fmt.Errorf("k=16 sweep is %.3fx the stream time per tree, baseline %.3fx (tolerance %.2f)", rep.RatioMulti, base.RatioMulti, tolerance)
 	}
 	return nil
 }
@@ -1021,17 +1117,17 @@ func main() {
 		out  = flag.String("out", "BENCH_3.json", "sweep report path")
 		// 1.15 rather than a tight 1.02: shared CI hosts show ±10%
 		// run-to-run jitter even with interleaved fresh-engine rounds,
-		// and the gates exist to catch real regressions (packed suddenly
-		// 2x slower, parallel build losing to sequential), not to flake
-		// on scheduler noise. The recorded ratios in the reports carry
-		// the actual measurements.
-		tolerance  = flag.Float64("tolerance", 1.15, "max allowed packed/legacy (or parallel/sequential) time ratio before failing")
+		// and the gates exist to catch real regressions (the sweep
+		// suddenly 2x slower, parallel build losing to sequential), not
+		// to flake on scheduler noise. The recorded ratios in the reports
+		// carry the actual measurements.
+		tolerance  = flag.Float64("tolerance", 1.15, "max allowed sweep/stream ratio over its recorded baseline (and parallel/sequential build time ratio) before failing")
 		chbuildOut = flag.String("chbuild-out", "BENCH_4.json", "chbuild report path")
 		schedOut   = flag.String("sched-out", "BENCH_5.json", "sched report path")
 		// The sched gate compares two parallel drivers over identical
-		// kernels, so run-to-run jitter is smaller than the packed/legacy
-		// comparison's; 1.10 keeps the pooled scheduler honestly at least
-		// as fast as the barrier code it replaced.
+		// kernels, so run-to-run jitter is smaller than between two
+		// kernel designs; 1.10 keeps the pooled scheduler honestly at
+		// least as fast as the barrier code it replaced.
 		schedTolerance = flag.Float64("sched-tolerance", 1.10, "max allowed pooled/fork-join time ratio before failing")
 		preset         = flag.String("preset", "europe-m", "roadnet instance preset")
 		customizeOut   = flag.String("customize-out", "BENCH_6.json", "customize report path")

@@ -76,7 +76,7 @@ func checkInstance(w, h int, seed int64, oneWay bool) error {
 	}
 	sources := []int32{0, int32(rng.Intn(n)), int32(rng.Intn(n)), int32(n - 1)}
 	gpu.MultiTree(sources)
-	eng.MultiTree(sources, true)
+	eng.MultiTree(sources)
 	for lane, s := range sources {
 		oracle.Run(s)
 		clone := eng.Clone()

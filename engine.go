@@ -22,11 +22,6 @@ type Options struct {
 	// SweepMode overrides the sweep order; the default is the fully
 	// reordered layout of Section IV-A. Exposed for experiments.
 	SweepMode SweepMode
-	// LegacySweep disables the packed single-stream sweep layout and
-	// falls back to the separate first/arclist/mark CSR kernels. The
-	// packed stream is the default; this switch exists for A/B
-	// comparison and as an escape hatch.
-	LegacySweep bool
 	// ForkJoinSweep routes parallel sweeps through the original
 	// per-level fork-join barriers instead of the persistent
 	// dependency-bounded chunk scheduler. Retained as a differential
@@ -36,7 +31,6 @@ type Options struct {
 	// byte-compressed twin (delta+varint arc heads, width-tagged narrow
 	// weights): the sweep scans fewer bytes for the same relaxations,
 	// which matters exactly as much as the sweep is bandwidth-bound.
-	// Incompatible with LegacySweep.
 	CompressedSweep bool
 	// ParallelGrain pins the scheduler chunk size in sweep positions.
 	// 0 (the default) sizes chunks by a byte budget instead: the stream
@@ -49,26 +43,15 @@ type Options struct {
 	ChunkBytes int
 }
 
-func (o *Options) packed() core.PackedSetting {
-	if o.LegacySweep {
-		return core.PackedOff
-	}
-	return core.PackedDefault
-}
-
-func (o *Options) coreOptions() (core.Options, error) {
-	if o.LegacySweep && o.CompressedSweep {
-		return core.Options{}, fmt.Errorf("phast: LegacySweep and CompressedSweep are mutually exclusive (the compressed stream is a packed layout)")
-	}
+func (o *Options) coreOptions() core.Options {
 	return core.Options{
 		Mode:            o.SweepMode,
 		Workers:         o.SweepWorkers,
-		PackedSweep:     o.packed(),
 		CompressedSweep: o.CompressedSweep,
 		ForkJoinSweep:   o.ForkJoinSweep,
 		ParallelGrain:   o.ParallelGrain,
 		ChunkBytes:      o.ChunkBytes,
-	}, nil
+	}
 }
 
 // SweepMode selects the linear-sweep vertex order.
@@ -122,10 +105,7 @@ func Preprocess(g *Graph, opt *Options) (*Engine, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	copt, err := opt.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	copt := opt.coreOptions()
 	var bs BuildStats
 	h := ch.Build(g, ch.Options{Workers: opt.CHWorkers, Stats: &bs})
 	c, err := core.NewEngine(h, copt)
@@ -148,10 +128,7 @@ func PreprocessCustomizable(g *Graph, opt *Options) (*Engine, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	copt, err := opt.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	copt := opt.coreOptions()
 	var bs BuildStats
 	topo, err := ch.BuildCustomizable(g, ch.Options{Workers: opt.CHWorkers, Stats: &bs})
 	if err != nil {
@@ -225,10 +202,7 @@ func LoadEngine(r io.Reader, opt *Options) (*Engine, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	copt, err := opt.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	copt := opt.coreOptions()
 	h, err := ch.ReadHierarchy(r)
 	if err != nil {
 		return nil, err
@@ -298,9 +272,11 @@ func (e *Engine) CheckInvariants() error {
 // sequential PHAST sweep. Read results with Dist or Distances.
 func (e *Engine) Tree(source int32) { e.core.Tree(source) }
 
-// TreeParallel is Tree with the parallel sweep of Section V, executed by
-// the persistent dependency-bounded chunk scheduler (or the per-level
-// fork-join barriers when Options.ForkJoinSweep is set).
+// TreeParallel is Tree with the parallel sweep of Section V: the same
+// kernel as Tree, run chunk by chunk by the persistent
+// dependency-bounded scheduler (or between the per-level fork-join
+// barriers when Options.ForkJoinSweep is set). It falls back to Tree's
+// sequential sweep with one worker or a graph smaller than one chunk.
 func (e *Engine) TreeParallel(source int32) { e.core.TreeParallel(source) }
 
 // TreeWithParents is Tree plus parent pointers; enables PathTo.
@@ -311,8 +287,8 @@ func (e *Engine) TreeWithParentsParallel(source int32) { e.core.TreeWithParentsP
 
 // MultiTreeParallel is MultiTree with the parallel sweep; each chunk of
 // the sweep relaxes all k trees before moving on.
-func (e *Engine) MultiTreeParallel(sources []int32, useLanes bool) {
-	e.core.MultiTreeParallel(sources, useLanes)
+func (e *Engine) MultiTreeParallel(sources []int32) {
+	e.core.MultiTreeParallel(sources, false)
 }
 
 // SetWorkers adjusts the parallel-sweep worker budget at runtime
@@ -333,11 +309,10 @@ type SchedStats = core.SchedStats
 // engines sharing this preprocessed data.
 func (e *Engine) SchedStats() SchedStats { return e.core.SchedStats() }
 
-// StreamBytes returns the bytes of the graph layout one sweep scans —
+// StreamBytes returns the bytes of the sweep stream one tree scans —
 // the compressed stream's byte length under Options.CompressedSweep,
-// the packed stream's words×4 by default, and the CSR footprint under
-// LegacySweep. The numerator of the layout's compression ratio and the
-// graph term of the bandwidth model.
+// the packed stream's words×4 otherwise. The numerator of the layout's
+// compression ratio and the graph term of the bandwidth model.
 func (e *Engine) StreamBytes() int64 { return e.core.StreamBytes() }
 
 // CompressionRatio returns StreamBytes relative to the uncompressed
@@ -361,14 +336,11 @@ func (e *Engine) PathTo(v int32) []int32 { return e.core.PathTo(v) }
 // -1. Requires strictly positive arc lengths.
 func (e *Engine) TreeParents(buf []int32) { e.core.GTreeParents(buf) }
 
-// MultiTree grows one tree per source in a single sweep (Section IV-B).
-// The default packed and compressed layouts relax the k labels of a
-// vertex in register-resident 4-wide lane groups at any k, so useLanes
-// matters only under LegacySweep, where it selects the 4-wide
-// relaxation and len(sources) must be a multiple of 4. Read results
-// with MultiDist.
-func (e *Engine) MultiTree(sources []int32, useLanes bool) {
-	e.core.MultiTree(sources, useLanes)
+// MultiTree grows one tree per source in a single sweep (Section IV-B),
+// relaxing the k labels of a vertex in register-resident 4-wide lane
+// groups at any k = len(sources). Read results with MultiDist.
+func (e *Engine) MultiTree(sources []int32) {
+	e.core.MultiTree(sources, false)
 }
 
 // MultiDist returns the label of v in tree i of the last MultiTree.

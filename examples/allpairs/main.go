@@ -45,8 +45,7 @@ func main() {
 		for i := s; i < s+k && i < n; i++ {
 			sources = append(sources, int32(i))
 		}
-		lanes := len(sources)%4 == 0
-		eng.MultiTree(sources, lanes)
+		eng.MultiTree(sources)
 		for i := range sources {
 			for v := int32(0); v < int32(n); v++ {
 				if d := eng.MultiDist(i, v); d != phast.Inf {

@@ -124,35 +124,13 @@ type SweepTraffic struct {
 	N, M int
 	// K is the number of trees grown per sweep (0 is treated as 1).
 	K int
-	// StreamBytes, when positive, selects a byte-granular stream layout
-	// (graph.PackedZ.ByteLen): the whole graph walk is exactly
-	// StreamBytes bytes — compressed streams are byte-, not word-,
-	// granular. Takes precedence over PackedWords.
+	// StreamBytes, when positive, is the byte length of the fused sweep
+	// stream (graph.Packed words or graph.PackedZ bytes): the whole
+	// graph walk reads exactly these bytes. Zero models the plain CSR
+	// layout of Section III (first, arclist and a mark byte per vertex).
 	StreamBytes int64
-	// PackedWords, when positive, selects the fused single-stream layout
-	// (graph.Packed.Words): the whole graph walk is PackedWords uint32s.
-	PackedWords int
-	// Ordered marks the legacy kernels' extra order-array stream (level
-	// or rank order with original IDs). Ignored when PackedWords > 0.
-	Ordered bool
 	// Parents adds the parent-pointer write stream (TreeWithParents).
 	Parents bool
-	// SchedChunks, when positive, adds the persistent scheduler's
-	// chunk-grain control traffic: per chunk one dependency-bound read,
-	// one completion-flag write, and the cursor/frontier atomics —
-	// modeled at 16 bytes per chunk. At the default 1024-position grain
-	// this is under 0.01% of the label streams; it is modeled so the
-	// GB/s figures stay honest about what the scheduler itself touches.
-	SchedChunks int
-	// LabelRereads marks the memory-resident multi-tree kernels of the
-	// CSR oracle (core.PackedOff): every arc re-reads (and conditionally
-	// rewrites) the scanned vertex's own k labels, adding k·4m bytes of
-	// label traffic on top of the k tail reads per arc. The packed and
-	// compressed kernels accumulate each lane's minimum in a register and
-	// store it once per (lane, vertex), which the base k·(4m+4n) term
-	// already covers — as do all single-tree kernels, so the flag is
-	// inert at K <= 1.
-	LabelRereads bool
 }
 
 // Bytes returns the modeled bytes one sweep touches.
@@ -161,28 +139,14 @@ func (t SweepTraffic) Bytes() int64 {
 	if k < 1 {
 		k = 1
 	}
-	var b int64
-	switch {
-	case t.StreamBytes > 0:
-		b = t.StreamBytes
-	case t.PackedWords > 0:
-		b = int64(t.PackedWords) * 4
-	default:
+	b := t.StreamBytes
+	if b <= 0 {
 		// first (4(n+1)) + AoS arcs (8m) + mark bytes (n).
 		b = int64(t.N+1)*4 + int64(t.M)*8 + int64(t.N)
-		if t.Ordered {
-			b += int64(t.N) * 4
-		}
 	}
 	b += k * (int64(t.M)*4 + int64(t.N)*4) // tail-label reads + label writes
-	if t.LabelRereads && k > 1 {
-		b += k * int64(t.M) * 4 // AoS relax-target re-read per arc per lane
-	}
 	if t.Parents {
 		b += int64(t.N) * 4
-	}
-	if t.SchedChunks > 0 {
-		b += int64(t.SchedChunks) * 16
 	}
 	return b
 }

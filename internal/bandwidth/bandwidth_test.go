@@ -63,20 +63,24 @@ func TestSequentialParallelRuns(t *testing.T) {
 	}
 }
 
-// TestSweepTrafficLabelRereads pins the memory-resident label model of
-// the CSR oracle's multi kernels: one extra label read per arc per
-// lane, and the flag is inert for single-tree sweeps.
-func TestSweepTrafficLabelRereads(t *testing.T) {
-	base := SweepTraffic{N: 100, M: 400, K: 8, StreamBytes: 1000}
-	aos := base
-	aos.LabelRereads = true
-	if got, want := aos.Bytes()-base.Bytes(), int64(8*400*4); got != want {
-		t.Fatalf("k=8 re-read term = %d, want %d", got, want)
+// TestSweepTrafficTerms pins the sweep traffic model: the graph walk
+// once (the stream bytes, or the CSR layout when none is given), k
+// tail-label reads per arc and k label writes per vertex, plus the
+// parent writes.
+func TestSweepTrafficTerms(t *testing.T) {
+	const n, m = 100, 400
+	labels := func(k int64) int64 { return k * (m*4 + n*4) }
+	stream := SweepTraffic{N: n, M: m, K: 8, StreamBytes: 1000}
+	if got, want := stream.Bytes(), 1000+labels(8); got != want {
+		t.Fatalf("k=8 stream sweep = %d B, want %d", got, want)
 	}
-	single := SweepTraffic{N: 100, M: 400, K: 1, StreamBytes: 1000}
-	aos1 := single
-	aos1.LabelRereads = true
-	if aos1.Bytes() != single.Bytes() {
-		t.Fatalf("LabelRereads changed a single-tree sweep: %d vs %d", aos1.Bytes(), single.Bytes())
+	csr := SweepTraffic{N: n, M: m}
+	if got, want := csr.Bytes(), int64((n+1)*4+m*8+n)+labels(1); got != want {
+		t.Fatalf("K=0 CSR sweep = %d B, want %d", got, want)
+	}
+	parents := stream
+	parents.Parents = true
+	if got := parents.Bytes() - stream.Bytes(); got != n*4 {
+		t.Fatalf("parent term = %d B, want %d", got, n*4)
 	}
 }

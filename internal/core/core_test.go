@@ -69,9 +69,10 @@ func TestTreeMatchesDijkstraAllModes(t *testing.T) {
 					s := int32(rng.Intn(n))
 					e.Tree(s)
 					d.Run(s)
+					ref := referenceDist(e, s)
 					for v := int32(0); v < int32(n); v++ {
-						if got, want := e.Dist(v), d.Dist(v); got != want {
-							t.Fatalf("trial %d src %d: dist(%d)=%d, want %d", trial, s, v, got, want)
+						if got, want := e.Dist(v), d.Dist(v); got != want || ref[v] != want {
+							t.Fatalf("trial %d src %d: dist(%d)=%d, reference %d, want %d", trial, s, v, got, ref[v], want)
 						}
 					}
 				}
@@ -193,6 +194,9 @@ func TestMultiTreeMatchesSingleTrees(t *testing.T) {
 	}
 }
 
+// TestMultiTreeLanesMatchesScalar pins that useLanes selects nothing:
+// every engine relaxes k trees with the register kernel of
+// multi_relax.go either way.
 func TestMultiTreeLanesMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := gridGraph(rng, 10, 9, 35)
@@ -217,19 +221,25 @@ func TestMultiTreeLanesMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestMultiTreeLaneValidation pins the k%4 contract of the CSR
-// oracle's relax4 lanes kernels. Stream engines accept any k with
-// useLanes (TestCompressedMultiTreeMatchesAll).
+// TestMultiTreeLaneValidation checks that useLanes puts no constraint
+// on k: a k=3 batch with useLanes set runs on both streams and matches
+// the Section III reference sweep.
 func TestMultiTreeLaneValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := gridGraph(rng, 4, 4, 5)
-	e := newEngine(t, g, Options{PackedSweep: PackedOff})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lanes with k=3 accepted")
+	for _, compressed := range []bool{false, true} {
+		e := newEngine(t, g, Options{CompressedSweep: compressed})
+		sources := []int32{0, 1, 2}
+		e.MultiTree(sources, true)
+		for i, s := range sources {
+			ref := referenceDist(e, s)
+			for v := int32(0); v < int32(g.NumVertices()); v++ {
+				if got := e.MultiDist(i, v); got != ref[v] {
+					t.Fatalf("compressed=%v lane %d: dist(%d)=%d, reference %d", compressed, i, v, got, ref[v])
+				}
+			}
 		}
-	}()
-	e.MultiTree([]int32{0, 1, 2}, true)
+	}
 }
 
 func TestMultiTreeRepeatedAndShrinkingK(t *testing.T) {
@@ -479,27 +489,6 @@ func TestLevelRangesCoverAllVertices(t *testing.T) {
 	}
 	if total != int32(g.NumVertices()) {
 		t.Fatalf("ranges cover %d vertices, want %d", total, g.NumVertices())
-	}
-}
-
-func TestRelax4(t *testing.T) {
-	dst := []uint32{10, graph.Inf, 5, 100}
-	src := []uint32{3, 4, graph.Inf, 90}
-	relax4(dst, src, 5)
-	want := []uint32{8, 9, 5, 95}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("relax4 dst=%v, want %v", dst, want)
-		}
-	}
-	// Saturation: Inf + w must not wrap and win.
-	dst = []uint32{graph.Inf, graph.Inf, graph.Inf, graph.Inf}
-	src = []uint32{graph.Inf, graph.Inf - 1, graph.Inf, graph.Inf}
-	relax4(dst, src, 10)
-	for i, d := range dst {
-		if d != graph.Inf {
-			t.Fatalf("lane %d wrapped: %d", i, d)
-		}
 	}
 }
 

@@ -7,17 +7,24 @@
 //     Section III), level order without relabeling, and the fully
 //     reordered layout of Section IV-A where the sweep is a pure linear
 //     scan in increasing vertex ID;
-//   - implicit initialization via visited bits (Section IV-C), so a tree
-//     computation never pays an O(n) clearing pass;
+//   - one sweep stream per engine, packed words (graph.Packed) or their
+//     byte-compressed form (graph.PackedZ), with implicit
+//     initialization (Section IV-C) folded into a sorted cursor over
+//     the upward search space, so a tree computation never pays an O(n)
+//     clearing pass and the sweep never reads a mark array;
 //   - multi-tree sweeps that grow k trees at once with the k labels of a
 //     vertex contiguous in memory (Section IV-B), relaxing them in
 //     register-resident 4-wide lane groups mirroring the paper's SSE
 //     code;
-//   - intra-level parallelism (Section V): vertices of one level are
-//     split into blocks processed by multiple goroutines with a barrier
-//     per level;
+//   - parallel sweeps (Section V) on a persistent worker pool that
+//     claims chunks of sweep positions in order and starts each once
+//     the chunks it depends on are done (internal/sched), with no
+//     barrier per level;
 //   - parent pointers in G+ and their projection to shortest-path trees
 //     of the original graph (Section VII-A).
+//
+// Every sweep is one kernel per stream and tree family (sweepKind),
+// run over [0,n) sequentially or chunk by chunk on the pool.
 package core
 
 import (
@@ -65,22 +72,6 @@ func (m SweepMode) String() string {
 	}
 }
 
-// PackedSetting selects whether the engine sweeps the fused
-// single-stream layout (graph.Packed) or the legacy first/arclist CSR
-// walk. The zero value enables packing: the fused stream is the
-// production kernel, the legacy kernels remain as a differential oracle
-// and A/B baseline.
-type PackedSetting int
-
-const (
-	// PackedDefault is the zero value and means PackedOn.
-	PackedDefault PackedSetting = iota
-	// PackedOn sweeps the fused single-stream layout.
-	PackedOn
-	// PackedOff sweeps the legacy CSR kernels (first + arclist + mark).
-	PackedOff
-)
-
 // DefaultParallelGrain is the historical fixed sweep chunk size (in
 // sweep positions). Chunks are now sized by a cache-derived byte budget
 // by default (Options.ChunkBytes); this constant survives as the
@@ -98,15 +89,10 @@ type Options struct {
 	// pool goroutines at construction. 0 selects GOMAXPROCS. Adjustable
 	// later with Engine.SetWorkers.
 	Workers int
-	// PackedSweep selects the fused single-stream sweep layout (default
-	// on) or the legacy CSR kernels (PackedOff), kept as an A/B oracle.
-	PackedSweep PackedSetting
 	// CompressedSweep selects the delta+varint compressed stream
-	// (graph.PackedZ) instead of the uncompressed packed words: the
-	// sweep reads roughly half the bytes at the cost of inline varint
-	// decode. The uncompressed packed kernels remain the differential
-	// oracle, exactly as the legacy CSR kernels did for packing.
-	// Requires the packed layout (an error with PackedOff).
+	// (graph.PackedZ) instead of the uncompressed packed words
+	// (graph.Packed): the sweep reads roughly half the bytes at the cost
+	// of inline decode.
 	CompressedSweep bool
 	// ForkJoinSweep routes parallel sweeps through the original
 	// per-level fork-join barriers instead of the persistent
@@ -140,12 +126,11 @@ type shared struct {
 	toEngine    []int32    // original ID -> engine ID
 	toOrig      []int32    // engine ID -> original ID
 	// packed is the fused single-stream sweep layout of downIn in sweep
-	// order; nil when Options.PackedSweep is PackedOff or the compressed
-	// stream stands in for it.
+	// order; nil when the compressed stream stands in for it.
 	packed *graph.Packed
 	// packedz is the delta+varint compressed sweep stream; non-nil
-	// exactly when Options.CompressedSweep selected it (packed is then
-	// nil — an engine carries one stream, not both).
+	// exactly when Options.CompressedSweep selected it. Exactly one of
+	// packed and packedz is set: an engine carries one stream.
 	packedz *graph.PackedZ
 	// pos maps an engine vertex ID to its sweep position (the inverse of
 	// order); nil when the order is the identity.
@@ -221,9 +206,6 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 	if opt.ChunkBytes < 0 {
 		return nil, fmt.Errorf("core: ChunkBytes %d is negative", opt.ChunkBytes)
 	}
-	if opt.CompressedSweep && opt.PackedSweep == PackedOff {
-		return nil, fmt.Errorf("core: CompressedSweep requires the packed layout (PackedSweep is off)")
-	}
 	s := &shared{mode: opt.Mode, n: n, forkJoin: opt.ForkJoinSweep}
 	switch opt.Mode {
 	case SweepReordered:
@@ -272,20 +254,18 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			s.pos[v] = int32(i)
 		}
 	}
-	if opt.PackedSweep != PackedOff {
-		if opt.CompressedSweep {
-			z, err := graph.NewPackedZ(s.downIn, s.order)
-			if err != nil {
-				return nil, fmt.Errorf("core: compressing sweep stream: %w", err)
-			}
-			s.packedz = z
-		} else {
-			p, err := graph.NewPacked(s.downIn, s.order)
-			if err != nil {
-				return nil, fmt.Errorf("core: packing sweep stream: %w", err)
-			}
-			s.packed = p
+	if opt.CompressedSweep {
+		z, err := graph.NewPackedZ(s.downIn, s.order)
+		if err != nil {
+			return nil, fmt.Errorf("core: compressing sweep stream: %w", err)
 		}
+		s.packedz = z
+	} else {
+		p, err := graph.NewPacked(s.downIn, s.order)
+		if err != nil {
+			return nil, fmt.Errorf("core: packing sweep stream: %w", err)
+		}
+		s.packed = p
 	}
 	// Chunk boundaries: a positive ParallelGrain pins the historical
 	// fixed position grain; otherwise chunks are cut so each one's
@@ -302,13 +282,10 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			}
 			budget = b
 		}
-		switch {
-		case s.packedz != nil:
+		if s.packedz != nil {
 			s.chunkStart = s.packedz.ChunkStartsByBytes(budget)
-		case s.packed != nil:
+		} else {
 			s.chunkStart = s.packed.ChunkStartsByBytes(budget)
-		default:
-			s.chunkStart = graph.ChunkStartsByBytes(s.downIn, s.order, budget)
 		}
 	}
 	s.numChunks = int32(len(s.chunkStart) - 1)
@@ -317,18 +294,14 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 		s.grain = 1
 	}
 	// Precompute the per-chunk dependency bounds the persistent
-	// scheduler starts chunks by (scheduler.go). The stream flavors walk
-	// the same bytes/words the workers will read; engines built with
-	// PackedOff derive identical bounds from the CSR arrays.
+	// scheduler starts chunks by (scheduler.go), walking the same
+	// bytes/words the workers will read.
 	var dep []int32
 	var err error
-	switch {
-	case s.packedz != nil:
+	if s.packedz != nil {
 		dep, err = s.packedz.ChunkDepBoundsAt(s.chunkStart)
-	case s.packed != nil:
+	} else {
 		dep, err = s.packed.ChunkDepBoundsAt(s.pos, s.chunkStart)
-	default:
-		dep, err = graph.ChunkDepBoundsAt(s.downIn, s.order, s.chunkStart)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: chunk dependency bounds: %w", err)
@@ -466,10 +439,7 @@ func (e *Engine) OrigID(v int32) int32 { return e.s.toOrig[v] }
 func (e *Engine) LevelRanges() [][2]int32 { return e.s.levelRanges }
 
 // Packed returns the fused single-stream sweep layout the engine scans,
-// or nil when the engine was built with PackedOff or sweeps the
-// compressed stream. Consumers that mirror the sweep's data layout
-// (GPHAST's device upload) decode it instead of re-deriving the CSR
-// arrays.
+// or nil when the engine sweeps the compressed stream.
 func (e *Engine) Packed() *graph.Packed { return e.s.packed }
 
 // PackedZ returns the compressed sweep stream the engine scans, or nil
@@ -477,19 +447,14 @@ func (e *Engine) Packed() *graph.Packed { return e.s.packed }
 func (e *Engine) PackedZ() *graph.PackedZ { return e.s.packedz }
 
 // StreamBytes returns the bytes of sweep stream one tree scans front to
-// back: the compressed stream's byte length, the packed stream's words
-// in bytes, or the CSR first+arclist footprint for legacy engines. This
-// is the numerator of the achieved-GB/s accounting and the quantity the
-// compression ratio compares.
+// back: the compressed stream's byte length or the packed stream's
+// words in bytes. This is the graph term of the achieved-GB/s
+// accounting and the quantity the compression ratio compares.
 func (e *Engine) StreamBytes() int64 {
-	switch {
-	case e.s.packedz != nil:
+	if e.s.packedz != nil {
 		return int64(e.s.packedz.ByteLen())
-	case e.s.packed != nil:
-		return int64(e.s.packed.Words()) * 4
-	default:
-		return int64(e.s.n+1)*4 + int64(e.s.downIn.NumArcs())*8
 	}
+	return int64(e.s.packed.Words()) * 4
 }
 
 // StreamShapeHistogram returns blocks per compressed header shape
@@ -521,25 +486,7 @@ func (e *Engine) CompressionRatio() float64 {
 // Divide by the measured sweep time for achieved GB/s against the
 // Section VIII-B lower bounds; k <= 0 is treated as a single tree.
 func (e *Engine) SweepBytes(k int) int64 {
-	t := bandwidth.SweepTraffic{N: e.s.n, M: e.s.downIn.NumArcs(), K: k}
-	// The CSR oracle's multi kernels re-read the relax target per arc
-	// per lane; the stream kernels hold it in locals
-	// (bandwidth.SweepTraffic.LabelRereads).
-	t.LabelRereads = e.s.packed == nil && e.s.packedz == nil
-	switch {
-	case e.s.packedz != nil:
-		t.StreamBytes = int64(e.s.packedz.ByteLen())
-	case e.s.packed != nil:
-		t.PackedWords = e.s.packed.Words()
-	default:
-		t.Ordered = e.s.order != nil
-	}
-	// Pooled sweeps add chunk-grain scheduling traffic (dependency-bound
-	// reads and completion flags); the sequential and fork-join paths
-	// touch none of it.
-	if e.s.pool.Workers() > 1 && !e.s.forkJoin && e.s.numChunks > 1 {
-		t.SchedChunks = int(e.s.numChunks)
-	}
+	t := bandwidth.SweepTraffic{N: e.s.n, M: e.s.downIn.NumArcs(), K: k, StreamBytes: e.StreamBytes()}
 	return t.Bytes()
 }
 

@@ -9,33 +9,36 @@ import "phast/internal/graph"
 // improves the locality of the tail-label reads at the cost of k·n
 // label memory.
 //
-// Packed and compressed engines relax every k with the register kernel
-// of multi_relax.go (lane groups of 4, 2 and 1 — the stand-in for the
-// paper's SSE 4.1 packed add/min; this build has no SIMD intrinsics,
-// see DESIGN.md), so useLanes has no effect on them. useLanes selects
-// the unrolled relax4 kernels of the CSR oracle (PackedOff), which
-// require k to be a multiple of 4. Every engine sweeps a k=1 batch with
-// its single-tree kernel: at k=1 the vertex-major layout is dist's.
+// Every k is relaxed by the register kernel of multi_relax.go (lane
+// groups of 4, 2 and 1 — the stand-in for the paper's SSE 4.1 packed
+// add/min; this build has no SIMD intrinsics, see DESIGN.md), and a
+// k=1 batch runs the single-tree kernel: at k=1 the vertex-major
+// layout is dist's. useLanes is ignored; it stays in the signature
+// for existing callers.
 //
 // Labels are read back with MultiDist. Sources are original vertex IDs.
 func (e *Engine) MultiTree(sources []int32, useLanes bool) {
-	e.multiTree(sources, useLanes, false)
+	e.multiTree(sources, false)
 }
 
-// multiTree is MultiTree, and with parallel set MultiTreeParallel:
-// the same searches and kernels, with the sweep handed to the pooled
-// scheduler when parallel is set and the engine has one.
-func (e *Engine) multiTree(sources []int32, useLanes, parallel bool) {
+// MultiTreeParallel combines the k-sources-per-sweep batching of
+// Section IV-B with the scheduled parallel sweep: the k upward searches
+// run sequentially (they are microseconds), then the workers relax all
+// k lanes of every chunk they claim with MultiTree's kernels. Falls
+// back to the sequential multi-sweep when a single worker is configured
+// or the graph is smaller than one chunk. useLanes is ignored, as in
+// MultiTree.
+func (e *Engine) MultiTreeParallel(sources []int32, useLanes bool) {
+	e.multiTree(sources, true)
+}
+
+func (e *Engine) multiTree(sources []int32, parallel bool) {
 	k := len(sources)
 	if k == 0 {
 		e.k = 0
 		return
 	}
 	s := e.s
-	csr := s.packed == nil && s.packedz == nil
-	if useLanes && k%4 != 0 && csr {
-		panic("core: lane-based MultiTree on a CSR engine requires k to be a multiple of 4")
-	}
 	if cap(e.kdist) < k*s.n {
 		e.kdist = make([]uint32, k*s.n)
 	}
@@ -48,7 +51,7 @@ func (e *Engine) multiTree(sources []int32, useLanes, parallel bool) {
 		// while lastMulti holds).
 		e.dist, e.kdist = e.kdist, e.dist
 		e.chSearch(sources[0], nil)
-		e.sweepTree(parallel)
+		e.sweep(s.kind(packedSingle), 1, parallel)
 		e.dist, e.kdist = e.kdist, e.dist
 		return
 	}
@@ -56,23 +59,7 @@ func (e *Engine) multiTree(sources []int32, useLanes, parallel bool) {
 	for i, src := range sources {
 		e.chSearchLane(src, i, k)
 	}
-	var kind sweepKind
-	switch {
-	case s.packedz != nil:
-		kind = packedZMulti
-	case s.packed != nil:
-		kind = packedMulti
-	case useLanes:
-		kind = csrLanes
-	default:
-		kind = csrMulti
-	}
-	if !csr {
-		e.buildSeeds()
-	}
-	if !parallel || !e.parallelSweep(kind, k) {
-		e.scanChunkKind(kind, k, 0, int32(s.n))
-	}
+	e.sweep(s.kind(packedMulti), k, parallel)
 }
 
 // K returns the tree count of the last MultiTree call.

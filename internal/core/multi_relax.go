@@ -10,9 +10,9 @@ import (
 // (Section IV-B). Labels are vertex-major — the k labels of engine
 // vertex v sit at kdist[v*k : v*k+k] — so one arc's k tail labels are
 // one contiguous run, the paper's "k labels in one SSE register". The
-// kernels of packed_parallel.go and packedz_parallel.go walk their
-// stream, present each vertex's incoming arcs as (tail, weight) pairs,
-// and hand them to relaxVertexK:
+// multi kernels of packed.go and packedz.go walk their stream, present
+// each vertex's incoming arcs as (tail, weight) pairs, and hand them to
+// relaxVertexK:
 //
 //  1. Lanes go in groups of four, then a group of two and a single
 //     lane as k requires. Each lane of a group accumulates its minimum
@@ -120,7 +120,7 @@ type zStage struct {
 // into st, starting at stream offset i, and returns the offset past
 // them. tn must be min(remaining arcs, zTile). The four narrow header
 // shapes get constant-shift pair decode (two arcs per wide load,
-// exactly sweepPackedZIdent's specialization, writing to the staging
+// exactly scanPackedZIdentChunk's specialization, writing to the staging
 // buffer instead of relaxing); everything else falls to the generic
 // geometry loop. An odd tn decodes its last arc branchlessly: the wide
 // load is unconditional (licensed mid-stream by the following block's

@@ -15,11 +15,10 @@ import (
 // compressed engines share. For every k in the list — the 4-, 2- and
 // 1-lane groups and their combinations, k=1's single-tree route, and
 // batches past the server's 16 — both stream engines must agree
-// label-for-label with Dijkstra and with the CSR oracle's
-// memory-resident multi kernels: sequentially and on the pooled
-// scheduler, with and without useLanes (legal at any k on stream
-// engines), in every sweep mode. Level and rank order carry explicit
-// vertex words, so the compressed kernel's head remap runs there.
+// label-for-label with Dijkstra and with the Section III reference
+// sweep (referenceTree): sequentially and on the pooled scheduler, in
+// every sweep mode. Level and rank order carry explicit vertex words,
+// so the compressed kernel's head remap runs there.
 func TestCompressedMultiTreeMatchesAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, mode := range allModes {
@@ -38,9 +37,9 @@ func TestCompressedMultiTreeMatchesAll(t *testing.T) {
 func checkMultiTreeMatchesAll(t *testing.T, rng *rand.Rand, g *graph.Graph, mode SweepMode, overlap bool) {
 	t.Helper()
 	n := g.NumVertices()
+	h := ch.Build(g, ch.Options{Workers: 1})
 	if !overlap {
 		maxDeg := 0
-		h := ch.Build(g, ch.Options{Workers: 1})
 		for v := int32(0); v < int32(n); v++ {
 			maxDeg = max(maxDeg, h.DownIn.OutDegree(v))
 		}
@@ -49,6 +48,7 @@ func checkMultiTreeMatchesAll(t *testing.T, rng *rand.Rand, g *graph.Graph, mode
 		}
 	}
 	want := make([][]uint32, n)
+	ref := make([][]uint32, n)
 	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
 	for s := range want {
 		d.Run(int32(s))
@@ -56,9 +56,10 @@ func checkMultiTreeMatchesAll(t *testing.T, rng *rand.Rand, g *graph.Graph, mode
 		for v := range want[s] {
 			want[s][v] = d.Dist(int32(v))
 		}
+		ref[s] = referenceTree(h, int32(s))
 	}
 	for _, workers := range []int{1, 4} {
-		z, pk, csr := engineTriple(t, g, mode, workers)
+		pk, z := enginePair(t, g, mode, workers)
 		if workers > 1 && overlap {
 			requireOverlappingChunks(t, z)
 			requireOverlappingChunks(t, pk)
@@ -68,29 +69,26 @@ func checkMultiTreeMatchesAll(t *testing.T, rng *rand.Rand, g *graph.Graph, mode
 			for i := range sources {
 				sources[i] = int32(rng.Intn(n))
 			}
-			csr.MultiTree(sources, k%4 == 0)
-			for _, lanes := range []bool{false, true} {
-				for _, e := range []*Engine{z, pk} {
-					name := "packed"
-					if e == z {
-						name = "compressed"
+			for _, e := range []*Engine{z, pk} {
+				name := "packed"
+				if e == z {
+					name = "compressed"
+				}
+				before := e.SchedStats().Sweeps
+				if workers > 1 {
+					e.MultiTreeParallel(sources, false)
+					if e.SchedStats().Sweeps == before {
+						t.Fatalf("%s k=%d: pooled sweep did not run on the scheduler", name, k)
 					}
-					before := e.SchedStats().Sweeps
-					if workers > 1 {
-						e.MultiTreeParallel(sources, lanes)
-						if e.SchedStats().Sweeps == before {
-							t.Fatalf("%s k=%d: pooled sweep did not run on the scheduler", name, k)
-						}
-					} else {
-						e.MultiTree(sources, lanes)
-					}
-					for i, s := range sources {
-						for v := int32(0); v < int32(n); v++ {
-							got := e.MultiDist(i, v)
-							if got != want[s][v] || got != csr.MultiDist(i, v) {
-								t.Fatalf("n=%d %s workers %d k=%d lanes=%v lane %d src %d: dist(%d)=%d, Dijkstra %d, CSR oracle %d",
-									n, name, workers, k, lanes, i, s, v, got, want[s][v], csr.MultiDist(i, v))
-							}
+				} else {
+					e.MultiTree(sources, false)
+				}
+				for i, s := range sources {
+					for v := int32(0); v < int32(n); v++ {
+						got := e.MultiDist(i, v)
+						if got != want[s][v] || got != ref[s][v] {
+							t.Fatalf("n=%d %s workers %d k=%d lane %d src %d: dist(%d)=%d, Dijkstra %d, reference %d",
+								n, name, workers, k, i, s, v, got, want[s][v], ref[s][v])
 						}
 					}
 				}

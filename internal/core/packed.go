@@ -6,15 +6,21 @@ import (
 	"phast/internal/graph"
 )
 
-// This file holds the fused single-stream sweep kernels. The layout
-// (graph.Packed) interleaves each vertex's arc count with its (head,
-// weight) pairs in sweep order, so phase 2 is one forward pass over a
-// single []uint32 with no first[]/order[] indirection. The mark bit of
-// the implicit-initialization scheme (Section IV-C) is folded away
-// entirely: instead of branching on a per-vertex byte, the upward
-// search's touched set is converted once into a sorted list of sweep
-// positions and consumed by a merge cursor — the sweep never reads or
-// writes a mark array, which removes one n-byte stream and one
+// This file holds the fused single-stream sweep kernels, one per tree
+// family. The layout (graph.Packed) interleaves each vertex's arc
+// count with its (head, weight) pairs in sweep order, so phase 2 is one
+// forward pass over a single []uint32 with no first[]/order[]
+// indirection. Each kernel relaxes a chunk [lo,hi) of sweep positions:
+// it enters the stream at lo through Packed.BlockStarts and positions
+// its seed cursor with one binary search, so the sequential sweep is
+// the kernel over [0,n) and the scheduler's workers run it per chunk
+// (Section V).
+//
+// The mark bit of the implicit-initialization scheme (Section IV-C) is
+// folded away entirely: instead of branching on a per-vertex byte, the
+// upward search's touched set is converted once into a sorted list of
+// sweep positions and consumed by a merge cursor — the sweep never
+// reads or writes a mark array, which removes one n-byte stream and one
 // hard-to-predict branch per vertex. Relaxations stay 32-bit with
 // saturating adds (graph.AddSat compiles to add + cmp + cmov).
 
@@ -59,24 +65,23 @@ func seedLowerBound(seeds []int32, lo int32) int {
 	return i
 }
 
-// sweepPacked is the packed single-tree kernel: one forward pass over
-// the fused stream. Seeded positions take their CH label as the initial
-// best; all others start at Inf with no initialization pass.
+// scanPackedChunk relaxes sweep positions [lo,hi) of the packed
+// single-tree sweep.
 //
 //phast:hotpath
-func (e *Engine) sweepPacked() {
+func (e *Engine) scanPackedChunk(lo, hi int32) {
 	pk := e.s.packed
 	stream := pk.Stream()
 	hasV := pk.ExplicitVertex()
 	dist := e.dist
 	seeds := e.seedPos
-	si := 0
+	si := seedLowerBound(seeds, lo)
 	next := int32(-1)
 	if si < len(seeds) {
 		next = seeds[si]
 	}
-	p := int32(0)
-	for i := 0; i < len(stream); {
+	i := pk.BlockStarts()[lo]
+	for p := lo; p < hi; p++ {
 		deg := int(stream[i])
 		i++
 		v := p
@@ -100,27 +105,26 @@ func (e *Engine) sweepPacked() {
 			}
 		}
 		dist[v] = best
-		p++
 	}
 }
 
-// sweepPackedParents is sweepPacked recording G+ parent pointers.
+// scanPackedParentsChunk is scanPackedChunk recording G+ parents.
 //
 //phast:hotpath
-func (e *Engine) sweepPackedParents() {
+func (e *Engine) scanPackedParentsChunk(lo, hi int32) {
 	pk := e.s.packed
 	stream := pk.Stream()
 	hasV := pk.ExplicitVertex()
 	dist := e.dist
 	parent := e.parent
 	seeds := e.seedPos
-	si := 0
+	si := seedLowerBound(seeds, lo)
 	next := int32(-1)
 	if si < len(seeds) {
 		next = seeds[si]
 	}
-	p := int32(0)
-	for i := 0; i < len(stream); {
+	i := pk.BlockStarts()[lo]
+	for p := lo; p < hi; p++ {
 		deg := int(stream[i])
 		i++
 		v := p
@@ -149,6 +153,45 @@ func (e *Engine) sweepPackedParents() {
 		}
 		dist[v] = best
 		parent[v] = bestP
-		p++
+	}
+}
+
+// scanPackedMultiChunk relaxes all k trees of sweep positions [lo,hi)
+// over the fused stream: each vertex's (head, weight) word pairs go
+// straight from the stream to the register relax of multi_relax.go.
+// The sequential multi-tree sweep is this kernel over [0,n).
+//
+//phast:hotpath
+func (e *Engine) scanPackedMultiChunk(lo, hi int32, k int) {
+	pk := e.s.packed
+	stream := pk.Stream()
+	hasV := pk.ExplicitVertex()
+	kd := e.kdist
+	seeds := e.seedPos
+	si := seedLowerBound(seeds, lo)
+	next := int32(-1)
+	if si < len(seeds) {
+		next = seeds[si]
+	}
+	i := pk.BlockStarts()[lo]
+	for p := lo; p < hi; p++ {
+		deg := int(stream[i])
+		i++
+		v := p
+		if hasV {
+			v = int32(stream[i])
+			i++
+		}
+		seeded := p == next
+		if seeded {
+			si++
+			next = -1
+			if si < len(seeds) {
+				next = seeds[si]
+			}
+		}
+		end := i + 2*deg
+		relaxVertexK(kd, k, int(v), stream[i:end], seeded)
+		i = end
 	}
 }

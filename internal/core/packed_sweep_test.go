@@ -7,35 +7,44 @@ import (
 	"testing"
 	"testing/quick"
 
+	"phast/internal/bandwidth"
 	"phast/internal/ch"
 	"phast/internal/graph"
 	"phast/internal/pq"
 	"phast/internal/sssp"
 )
 
-// enginePair builds one hierarchy and returns a packed-stream engine and
-// its legacy-kernel twin over it, for differential tests.
-func enginePair(t *testing.T, g *graph.Graph, mode SweepMode, workers int) (packed, legacy *Engine) {
+// enginePair builds one hierarchy and returns a packed-stream engine
+// and a compressed-stream engine over it, for differential tests. With
+// more than one worker the grain is pinned to 16 positions, so the
+// small test graphs sweep in several chunks.
+func enginePair(t *testing.T, g *graph.Graph, mode SweepMode, workers int) (packed, z *Engine) {
 	t.Helper()
 	h := ch.Build(g, ch.Options{Workers: 1})
+	opt := Options{Mode: mode, Workers: workers}
+	if workers > 1 {
+		opt.ParallelGrain = 16
+	}
 	var err error
-	if packed, err = NewEngine(h, Options{Mode: mode, Workers: workers, PackedSweep: PackedOn}); err != nil {
+	if packed, err = NewEngine(h, opt); err != nil {
 		t.Fatal(err)
 	}
-	if legacy, err = NewEngine(h, Options{Mode: mode, Workers: workers, PackedSweep: PackedOff}); err != nil {
+	opt.CompressedSweep = true
+	if z, err = NewEngine(h, opt); err != nil {
 		t.Fatal(err)
 	}
-	if packed.s.packed == nil {
-		t.Fatal("PackedOn engine has no packed stream")
+	if packed.s.packed == nil || packed.s.packedz != nil {
+		t.Fatal("default engine did not build (only) the packed stream")
 	}
-	if legacy.s.packed != nil {
-		t.Fatal("PackedOff engine built a packed stream")
+	if z.s.packedz == nil || z.s.packed != nil {
+		t.Fatal("CompressedSweep engine did not build (only) the compressed stream")
 	}
-	return packed, legacy
+	return packed, z
 }
 
 // TestPackedTreeMatchesLegacyAndDijkstra is the single-tree differential
-// oracle: the fused-stream kernel, the legacy CSR+mark kernel, and plain
+// oracle of the packed kernel: its labels, those of the legacy Section
+// III sweep (referenceTree, kept as a test-only reference) and plain
 // Dijkstra must agree label-for-label in every sweep mode.
 func TestPackedTreeMatchesLegacyAndDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -50,20 +59,20 @@ func TestPackedTreeMatchesLegacyAndDijkstra(t *testing.T) {
 					g = gridGraph(rng, 4+rng.Intn(8), 4+rng.Intn(8), 30)
 				}
 				n := g.NumVertices()
-				pk, lg := enginePair(t, g, mode, 1)
+				pk, _ := enginePair(t, g, mode, 1)
 				d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
 				for q := 0; q < 5; q++ {
 					s := int32(rng.Intn(n))
 					pk.Tree(s)
-					lg.Tree(s)
 					d.Run(s)
+					ref := referenceDist(pk, s)
 					for v := int32(0); v < int32(n); v++ {
 						want := d.Dist(v)
 						if got := pk.Dist(v); got != want {
 							t.Fatalf("trial %d src %d: packed dist(%d)=%d, want %d", trial, s, v, got, want)
 						}
-						if got := lg.Dist(v); got != want {
-							t.Fatalf("trial %d src %d: legacy dist(%d)=%d, want %d", trial, s, v, got, want)
+						if got := ref[v]; got != want {
+							t.Fatalf("trial %d src %d: reference dist(%d)=%d, want %d", trial, s, v, got, want)
 						}
 					}
 				}
@@ -89,82 +98,85 @@ func minArcWeight(t *testing.T, g *graph.Graph, u, v int32) uint32 {
 }
 
 // TestPackedTreeWithParentsMatchesDijkstra checks the parent-recording
-// packed kernel: distances match Dijkstra and every expanded PathTo is a
-// real path in G whose weight equals the label.
+// packed kernel, sequential and pooled (checkTreeWithParents).
 func TestPackedTreeWithParentsMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, mode := range allModes {
-		g := gridGraph(rng, 5+rng.Intn(6), 5+rng.Intn(6), 20)
-		n := g.NumVertices()
-		pk, lg := enginePair(t, g, mode, 1)
-		d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
-		for q := 0; q < 3; q++ {
-			s := int32(rng.Intn(n))
-			pk.TreeWithParents(s)
-			lg.TreeWithParents(s)
-			d.Run(s)
-			for v := int32(0); v < int32(n); v += 3 {
-				want := d.Dist(v)
-				if got := pk.Dist(v); got != want {
-					t.Fatalf("%s src %d: packed dist(%d)=%d, want %d", mode, s, v, got, want)
+		for _, workers := range []int{1, 4} {
+			g := gridGraph(rng, 5+rng.Intn(6), 5+rng.Intn(6), 20)
+			pk, _ := enginePair(t, g, mode, workers)
+			checkTreeWithParents(t, rng, g, pk, workers > 1, fmt.Sprintf("%s packed workers %d", mode, workers))
+		}
+	}
+}
+
+// checkTreeWithParents runs three parent-recording trees on e, pooled
+// when parallel is set: labels must match Dijkstra and the reference
+// sweep, and every expanded PathTo must be a real path in g from the
+// source whose weight equals the label.
+func checkTreeWithParents(t *testing.T, rng *rand.Rand, g *graph.Graph, e *Engine, parallel bool, what string) {
+	t.Helper()
+	n := g.NumVertices()
+	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
+	for q := 0; q < 3; q++ {
+		s := int32(rng.Intn(n))
+		if parallel {
+			e.TreeWithParentsParallel(s)
+		} else {
+			e.TreeWithParents(s)
+		}
+		d.Run(s)
+		ref := referenceDist(e, s)
+		for v := int32(0); v < int32(n); v += 3 {
+			want := d.Dist(v)
+			if got := e.Dist(v); got != want || ref[v] != want {
+				t.Fatalf("%s src %d: dist(%d)=%d, reference %d, Dijkstra %d", what, s, v, got, ref[v], want)
+			}
+			path := e.PathTo(v)
+			if want == graph.Inf {
+				if path != nil {
+					t.Fatalf("%s src %d: PathTo(%d) non-nil for unreached vertex", what, s, v)
 				}
-				if got := lg.Dist(v); got != want {
-					t.Fatalf("%s src %d: legacy dist(%d)=%d, want %d", mode, s, v, got, want)
-				}
-				path := pk.PathTo(v)
-				if want == graph.Inf {
-					if path != nil {
-						t.Fatalf("%s src %d: PathTo(%d) non-nil for unreached vertex", mode, s, v)
-					}
-					continue
-				}
-				if path[0] != s || path[len(path)-1] != v {
-					t.Fatalf("%s: PathTo(%d) endpoints %d..%d, want %d..%d", mode, v, path[0], path[len(path)-1], s, v)
-				}
-				var sum uint32
-				for i := 1; i < len(path); i++ {
-					sum += minArcWeight(t, g, path[i-1], path[i])
-				}
-				if sum != want {
-					t.Fatalf("%s src %d: PathTo(%d) weighs %d, want %d", mode, s, v, sum, want)
-				}
+				continue
+			}
+			if path[0] != s || path[len(path)-1] != v {
+				t.Fatalf("%s: PathTo(%d) endpoints %d..%d, want %d..%d", what, v, path[0], path[len(path)-1], s, v)
+			}
+			var sum uint32
+			for i := 1; i < len(path); i++ {
+				sum += minArcWeight(t, g, path[i-1], path[i])
+			}
+			if sum != want {
+				t.Fatalf("%s src %d: PathTo(%d) weighs %d, want %d", what, s, v, sum, want)
 			}
 		}
 	}
 }
 
-// TestPackedMultiTreeMatchesLegacyAndDijkstra covers the k-lane packed
-// kernels (scalar and 4-wide) for k ∈ {1, 4, 16} against the legacy
-// sweep and Dijkstra, in every sweep mode.
+// TestPackedMultiTreeMatchesLegacyAndDijkstra covers the packed
+// multi-tree sweep for k ∈ {1, 4, 16} against the legacy Section III
+// sweep (referenceTree) and Dijkstra, in every sweep mode.
 func TestPackedMultiTreeMatchesLegacyAndDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			g := gridGraph(rng, 6+rng.Intn(5), 6+rng.Intn(5), 25)
 			n := g.NumVertices()
-			pk, lg := enginePair(t, g, mode, 1)
+			pk, _ := enginePair(t, g, mode, 1)
 			d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
 			for _, k := range []int{1, 4, 16} {
-				for _, lanes := range []bool{false, true} {
-					if lanes && k%4 != 0 {
-						continue
-					}
-					sources := make([]int32, k)
-					for i := range sources {
-						sources[i] = int32(rng.Intn(n))
-					}
-					pk.MultiTree(sources, lanes)
-					lg.MultiTree(sources, lanes)
-					for i, s := range sources {
-						d.Run(s)
-						for v := int32(0); v < int32(n); v += 2 {
-							want := d.Dist(v)
-							if got := pk.MultiDist(i, v); got != want {
-								t.Fatalf("k=%d lanes=%v lane %d src %d: packed dist(%d)=%d, want %d", k, lanes, i, s, v, got, want)
-							}
-							if got := lg.MultiDist(i, v); got != want {
-								t.Fatalf("k=%d lanes=%v lane %d src %d: legacy dist(%d)=%d, want %d", k, lanes, i, s, v, got, want)
-							}
+				sources := make([]int32, k)
+				for i := range sources {
+					sources[i] = int32(rng.Intn(n))
+				}
+				pk.MultiTree(sources, false)
+				for i, s := range sources {
+					d.Run(s)
+					ref := referenceDist(pk, s)
+					for v := int32(0); v < int32(n); v += 2 {
+						want := d.Dist(v)
+						if got := pk.MultiDist(i, v); got != want || ref[v] != want {
+							t.Fatalf("k=%d lane %d src %d: packed dist(%d)=%d, reference %d, Dijkstra %d", k, i, s, v, got, ref[v], want)
 						}
 					}
 				}
@@ -215,8 +227,8 @@ func TestSweepAboveInt32Boundary(t *testing.T) {
 	}
 	g := b.Build()
 	for _, mode := range allModes {
-		pk, lg := enginePair(t, g, mode, 1)
-		for _, e := range []*Engine{pk, lg} {
+		pk, z := enginePair(t, g, mode, 1)
+		for _, e := range []*Engine{pk, z} {
 			e.Tree(0)
 			for v := int32(0); v < 4; v++ {
 				if got, want := e.Dist(v), uint32(v)*graph.MaxWeight; got != want {
@@ -269,14 +281,20 @@ func TestBuildSeedsSortedAndMarksCleared(t *testing.T) {
 
 // TestSweepBytesPackedBelowLegacy pins the point of the fused layout:
 // the modeled sweep traffic of the packed stream must be strictly below
-// the legacy CSR+mark traffic for the same hierarchy, for k = 1 and 16.
+// that of the legacy CSR+mark layout (bandwidth.SweepTraffic without a
+// stream, plus the order array the legacy kernels read outside the
+// reordered layout) for the same hierarchy, for k = 1 and 16.
 func TestSweepBytesPackedBelowLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	g := gridGraph(rng, 12, 12, 20)
 	for _, mode := range allModes {
-		pk, lg := enginePair(t, g, mode, 1)
+		pk, _ := enginePair(t, g, mode, 1)
 		for _, k := range []int{1, 16} {
-			pb, lb := pk.SweepBytes(k), lg.SweepBytes(k)
+			csr := bandwidth.SweepTraffic{N: pk.s.n, M: pk.s.downIn.NumArcs(), K: k}
+			pb, lb := pk.SweepBytes(k), csr.Bytes()
+			if pk.s.order != nil {
+				lb += int64(pk.s.n) * 4
+			}
 			if pb <= 0 || lb <= 0 {
 				t.Fatalf("%s k=%d: non-positive traffic model (%d, %d)", mode, k, pb, lb)
 			}
@@ -290,33 +308,38 @@ func TestSweepBytesPackedBelowLegacy(t *testing.T) {
 	}
 }
 
-// TestLegacyParallelBarrierRace keeps the legacy barrier sweeps under
-// the race detector now that the default engine runs the packed kernels
-// (the packed twins are covered by the existing race tests).
+// TestLegacyParallelBarrierRace keeps the legacy per-level barrier
+// sweep (ForkJoinSweep, the scheduler's differential oracle) under the
+// race detector on both streams, for single trees and a k=4 batch.
 func TestLegacyParallelBarrierRace(t *testing.T) {
 	h, n := raceHierarchy(t)
-	e, err := NewEngine(h, Options{Workers: 4, PackedSweep: PackedOff, ParallelGrain: DefaultParallelGrain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	levelsBigEnough(t, e)
 	rng := rand.New(rand.NewSource(53))
-	s := int32(rng.Intn(n))
-	e.TreeParallel(s)
-	raceFixture.d.Run(s)
-	for v := int32(0); v < int32(n); v += 7 {
-		if got, want := e.Dist(v), raceFixture.d.Dist(v); got != want {
-			t.Fatalf("src %d: dist(%d)=%d, want %d", s, v, got, want)
+	for _, compressed := range []bool{false, true} {
+		e, err := NewEngine(h, Options{Workers: 4, ForkJoinSweep: true, CompressedSweep: compressed, ParallelGrain: DefaultParallelGrain})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	sources := []int32{s, int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(n))}
-	e.MultiTreeParallel(sources, false)
-	for i, src := range sources {
-		raceFixture.d.Run(src)
-		for v := int32(0); v < int32(n); v += 11 {
-			if got, want := e.MultiDist(i, v), raceFixture.d.Dist(v); got != want {
-				t.Fatalf("lane %d src %d: dist(%d)=%d, want %d", i, src, v, got, want)
+		levelsBigEnough(t, e)
+		s := int32(rng.Intn(n))
+		e.TreeParallel(s)
+		raceFixture.d.Run(s)
+		for v := int32(0); v < int32(n); v += 7 {
+			if got, want := e.Dist(v), raceFixture.d.Dist(v); got != want {
+				t.Fatalf("compressed=%v src %d: dist(%d)=%d, want %d", compressed, s, v, got, want)
 			}
+		}
+		sources := []int32{s, int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(n))}
+		e.MultiTreeParallel(sources, false)
+		for i, src := range sources {
+			raceFixture.d.Run(src)
+			for v := int32(0); v < int32(n); v += 11 {
+				if got, want := e.MultiDist(i, v), raceFixture.d.Dist(v); got != want {
+					t.Fatalf("compressed=%v lane %d src %d: dist(%d)=%d, want %d", compressed, i, src, v, got, want)
+				}
+			}
+		}
+		if st := e.SchedStats(); st.Sweeps != 0 {
+			t.Fatalf("compressed=%v: fork-join engine ran %d pooled sweeps", compressed, st.Sweeps)
 		}
 	}
 }
@@ -325,7 +348,7 @@ func TestLegacyParallelBarrierRace(t *testing.T) {
 // multi-tree sweeps on clones of one hierarchy, for the race detector.
 func TestPackedParallelStress(t *testing.T) {
 	h, n := raceHierarchy(t)
-	proto, err := NewEngine(h, Options{Workers: 4, PackedSweep: PackedOn, ParallelGrain: DefaultParallelGrain})
+	proto, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
 	if err != nil {
 		t.Fatal(err)
 	}

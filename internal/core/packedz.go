@@ -29,10 +29,11 @@ import (
 // all-ones word, so the decoders never special-case it. The identity-
 // order single-tree kernel goes further and specializes the four
 // narrow tag pairs with constant-shift pair decode (two arcs per wide
-// load); see sweepPackedZIdent.
+// load); see scanPackedZIdentChunk.
 // Headers and vertex words stay varint and keep their one-byte fast
 // path inline, falling into uvarintSlow only on the cold multi-byte
-// tail. Everything else (seed merge cursor, implicit initialization,
+// tail. Everything else (chunk entry through the byte-indexed
+// PackedZ.BlockStarts, seed merge cursor, implicit initialization,
 // saturating relax) is identical to the packed kernels.
 
 // uvarintSlow finishes decoding a varint whose first byte (already
@@ -78,32 +79,32 @@ func zGeom(hdr uint32) (stride int, dshift, dmask, wmask uint32) {
 	return
 }
 
-// sweepPackedZIdent is the identity-order single-tree kernel, the shape
+// scanPackedZIdentChunk relaxes sweep positions [lo,hi) of the
+// compressed single-tree sweep over an identity-order stream, the shape
 // SweepReordered always runs (the graph is physically relabeled, so no
-// vertex words and no order indirection). It exists because the generic
-// kernel pays three taxes this hot loop cannot afford: variable-shift
-// guards (the geometry masks are loop-variant), per-arc wide-load
-// bounds checks, and register spills from the order/hasV state. Here
-// the two width shapes that cover essentially every arc of a
+// vertex words and no order indirection). It exists because the
+// generic kernel pays three taxes this hot loop cannot afford:
+// variable-shift guards (the geometry masks are loop-variant), per-arc
+// wide-load bounds checks, and register spills from the order state.
+// Here the two width shapes that cover essentially every arc of a
 // reordered road hierarchy — 1-byte delta with 1- or 2-byte weight —
 // get constant-geometry loops that decode two arcs per 8-byte load
 // with immediate shifts; everything else falls through to the generic
 // geometry loop.
 //
 //phast:hotpath
-func (e *Engine) sweepPackedZIdent() {
+func (e *Engine) scanPackedZIdentChunk(lo, hi int32) {
 	zk := e.s.packedz
 	stream := zk.Stream()
 	dist := e.dist
 	seeds := e.seedPos
-	si := 0
+	si := seedLowerBound(seeds, lo)
 	next := int32(-1)
 	if si < len(seeds) {
 		next = seeds[si]
 	}
-	nb := int32(zk.NumVertices())
-	i := 0
-	for p := int32(0); p < nb; p++ {
+	i := zk.BlockStarts()[lo]
+	for p := lo; p < hi; p++ {
 		hdr := uint32(stream[i])
 		i++
 		if hdr >= 0x80 {
@@ -141,13 +142,13 @@ func (e *Engine) sweepPackedZIdent() {
 			// Branchless odd-arc tail: degree parity is data-dependent
 			// and a conditional tail mispredicts on half the blocks.
 			// Decode unconditionally (the load lands in the next block
-			// or the stream pad), clamp a garbage head index to 0, and
-			// mask the weight to Inf — relaxing with Inf is a no-op.
+			// or the stream pad), mask a garbage delta to 0 so the head
+			// is p's own label — never one another chunk may be writing
+			// — and mask the weight to Inf: relaxing with Inf is a no-op.
 			m := uint32(int32(a-deg) >> 31) // all-ones iff a tail arc exists
 			x := binary.LittleEndian.Uint32(stream[i:])
 			i += int(m & 4)
-			h := p - int32(x&0xFFFF)
-			h &^= h >> 31
+			h := p - int32(x&0xFFFF&m)
 			if nd := graph.AddSat(dist[h], x>>16|^m); nd < best {
 				best = nd
 			}
@@ -172,8 +173,7 @@ func (e *Engine) sweepPackedZIdent() {
 			m := uint32(int32(a-deg) >> 31)
 			x := binary.LittleEndian.Uint32(stream[i:])
 			i += int(m & 3)
-			h := p - int32(x&0xFFFF)
-			h &^= h >> 31
+			h := p - int32(x&0xFFFF&m)
 			if nd := graph.AddSat(dist[h], x>>16&0xFF|^m); nd < best {
 				best = nd
 			}
@@ -198,8 +198,7 @@ func (e *Engine) sweepPackedZIdent() {
 			m := uint32(int32(a-deg) >> 31)
 			x := binary.LittleEndian.Uint32(stream[i:])
 			i += int(m & 3)
-			h := p - int32(x&0xFF)
-			h &^= h >> 31
+			h := p - int32(x&0xFF&m)
 			if nd := graph.AddSat(dist[h], x>>8&0xFFFF|^m); nd < best {
 				best = nd
 			}
@@ -224,8 +223,7 @@ func (e *Engine) sweepPackedZIdent() {
 			m := uint32(int32(a-deg) >> 31)
 			x := uint32(binary.LittleEndian.Uint16(stream[i:]))
 			i += int(m & 2)
-			h := p - int32(x&0xFF)
-			h &^= h >> 31
+			h := p - int32(x&0xFF&m)
 			if nd := graph.AddSat(dist[h], x>>8|^m); nd < best {
 				best = nd
 			}
@@ -246,29 +244,24 @@ func (e *Engine) sweepPackedZIdent() {
 	}
 }
 
-// sweepPackedZ is the compressed single-tree kernel: one forward pass
-// over the byte stream, decoding inline.
+// scanPackedZChunk relaxes sweep positions [lo,hi) of the compressed
+// single-tree sweep.
 //
 //phast:hotpath
-func (e *Engine) sweepPackedZ() {
+func (e *Engine) scanPackedZChunk(lo, hi int32) {
 	zk := e.s.packedz
 	stream := zk.Stream()
 	hasV := zk.ExplicitVertex()
-	if !hasV {
-		e.sweepPackedZIdent()
-		return
-	}
 	order := e.s.order
 	dist := e.dist
 	seeds := e.seedPos
-	si := 0
+	si := seedLowerBound(seeds, lo)
 	next := int32(-1)
 	if si < len(seeds) {
 		next = seeds[si]
 	}
-	nb := int32(zk.NumVertices())
-	i := 0
-	for p := int32(0); p < nb; p++ {
+	i := zk.BlockStarts()[lo]
+	for p := lo; p < hi; p++ {
 		hdr := uint32(stream[i])
 		i++
 		if hdr >= 0x80 {
@@ -311,10 +304,11 @@ func (e *Engine) sweepPackedZ() {
 	}
 }
 
-// sweepPackedZParents is sweepPackedZ recording G+ parent pointers.
+// scanPackedZParentsChunk is scanPackedZChunk recording G+ parent
+// pointers.
 //
 //phast:hotpath
-func (e *Engine) sweepPackedZParents() {
+func (e *Engine) scanPackedZParentsChunk(lo, hi int32) {
 	zk := e.s.packedz
 	stream := zk.Stream()
 	hasV := zk.ExplicitVertex()
@@ -322,14 +316,13 @@ func (e *Engine) sweepPackedZParents() {
 	dist := e.dist
 	parent := e.parent
 	seeds := e.seedPos
-	si := 0
+	si := seedLowerBound(seeds, lo)
 	next := int32(-1)
 	if si < len(seeds) {
 		next = seeds[si]
 	}
-	nb := int32(zk.NumVertices())
-	i := 0
-	for p := int32(0); p < nb; p++ {
+	i := zk.BlockStarts()[lo]
+	for p := lo; p < hi; p++ {
 		hdr := uint32(stream[i])
 		i++
 		if hdr >= 0x80 {
@@ -373,5 +366,71 @@ func (e *Engine) sweepPackedZParents() {
 		}
 		dist[v] = best
 		parent[v] = bestP
+	}
+}
+
+// scanPackedZMultiChunk relaxes all k trees of sweep positions
+// [lo,hi) over the compressed stream: each block's arcs are decoded
+// once into the staging buffer (decodeZTile) and relaxed by the
+// register kernel of multi_relax.go, which the packed engines share.
+// The sequential multi-tree sweep is this kernel over [0,n).
+//
+//phast:hotpath
+func (e *Engine) scanPackedZMultiChunk(lo, hi int32, k int) {
+	zk := e.s.packedz
+	stream := zk.Stream()
+	hasV := zk.ExplicitVertex()
+	order := e.s.order
+	kd := e.kdist
+	seeds := e.seedPos
+	si := seedLowerBound(seeds, lo)
+	next := int32(-1)
+	if si < len(seeds) {
+		next = seeds[si]
+	}
+	var st zStage
+	i := zk.BlockStarts()[lo]
+	for p := lo; p < hi; p++ {
+		hdr := uint32(stream[i])
+		i++
+		if hdr >= 0x80 {
+			hdr, i = uvarintSlow(hdr, stream, i)
+		}
+		deg := int(hdr >> 4)
+		v := p
+		if hasV {
+			zz := uint32(stream[i])
+			i++
+			if zz >= 0x80 {
+				zz, i = uvarintSlow(zz, stream, i)
+			}
+			v = p + unzig(zz)
+		}
+		seeded := p == next
+		if seeded {
+			si++
+			next = -1
+			if si < len(seeds) {
+				next = seeds[si]
+			}
+		}
+		// deg == 0 still relaxes one empty tile: its stores are the
+		// vertex's Inf initialization.
+		for rem := deg; ; {
+			tn := min(rem, zTile)
+			i = decodeZTile(&st, stream, i, p, hdr, tn)
+			arcs := st.arcs[:2*tn]
+			if hasV {
+				for t := 0; t < len(arcs); t += 2 {
+					arcs[t] = uint32(order[arcs[t]])
+				}
+			}
+			relaxVertexK(kd, k, int(v), arcs, seeded)
+			rem -= tn
+			if rem <= 0 {
+				break
+			}
+			seeded = true // later tiles continue from the stored minima
+		}
 	}
 }

@@ -10,10 +10,9 @@ import (
 // FuzzCompressedMultiSweep fuzzes the compressed multi-tree kernel's
 // block decode and staging (decodeZTile feeding multi_relax.go)
 // differentially: for a random graph, weight scale, k, and sweep
-// order, the compressed sweep — with and without useLanes, sequential
-// and chunk-scheduled — must agree label-for-label with the packed
-// engine, which feeds the same relax from its stream words. The weight cap
-// spans the 1/2/4-byte weight widths and the vertex count spans 1- and
+// order, the compressed sweep — sequential and chunk-scheduled — must
+// agree label-for-label with the packed engine, which feeds the same
+// relax from its stream words. The weight cap spans the 1/2/4-byte weight widths and the vertex count spans 1- and
 // 2-byte deltas, so mutation walks the header-shape space the kernels
 // specialize; the checked-in corpus pins one entry per shape the
 // builder can emit at fuzz-sized n (d32 needs >64Ki vertices per case
@@ -47,7 +46,6 @@ func FuzzCompressedMultiSweep(f *testing.F) {
 			t.Fatal(err)
 		}
 		opt.CompressedSweep = false
-		opt.PackedSweep = PackedOn
 		pk, err := NewEngine(h, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -74,10 +72,8 @@ func FuzzCompressedMultiSweep(f *testing.F) {
 		}
 		z.MultiTree(sources, false)
 		check("sequential")
-		z.MultiTree(sources, true) // legal at any k on stream engines
-		check("sequential/lanes")
-		z.MultiTreeParallel(sources, true) // chunk-scheduled decode
-		check("parallel/lanes")
+		z.MultiTreeParallel(sources, false) // chunk-scheduled decode
+		check("parallel")
 	})
 }
 

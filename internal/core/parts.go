@@ -39,8 +39,7 @@ type EngineParts struct {
 	// LevelRanges are the sweep-position ranges of each level, nil in
 	// SweepRankOrder mode.
 	LevelRanges [][2]int32
-	// Packed/PackedZ is the sweep stream; at most one is non-nil, both
-	// nil for legacy CSR engines.
+	// Packed/PackedZ is the sweep stream; exactly one is non-nil.
 	Packed  *graph.Packed
 	PackedZ *graph.PackedZ
 	// ChunkStart/ChunkDep are the scheduler's chunk boundaries (sweep
@@ -134,8 +133,8 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 			return nil, fmt.Errorf("core: parts level ranges cover %d of %d positions", at, n)
 		}
 	}
-	if p.Packed != nil && p.PackedZ != nil {
-		return nil, fmt.Errorf("core: parts carry both a packed and a compressed stream")
+	if (p.Packed == nil) == (p.PackedZ == nil) {
+		return nil, fmt.Errorf("core: parts must carry exactly one sweep stream (packed %v, compressed %v)", p.Packed != nil, p.PackedZ != nil)
 	}
 	m := p.H.DownIn.NumArcs()
 	explicit := p.Order != nil

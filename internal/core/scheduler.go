@@ -19,17 +19,15 @@ import (
 // frontier CAS providing the happens-before edge between a chunk's
 // label writes and its dependents' reads.
 
-// sweepKind names one parallel kernel family: which chunk-scan routine
-// the scheduler's workers run. Packed vs CSR is decided once at the
-// entry point, not per chunk.
+// sweepKind names one kernel: a tree family (single, parents, multi)
+// over one stream (packed, compressed). Each kind has one chunk kernel,
+// which the sequential sweep runs over [0,n) and the scheduler's
+// workers run per chunk; the compressed single-tree kind adds an
+// identity-order specialization of it (scanChunkKind).
 type sweepKind int
 
 const (
-	csrSingle sweepKind = iota
-	csrParents
-	csrMulti
-	csrLanes
-	packedSingle
+	packedSingle sweepKind = iota
 	packedParents
 	packedMulti
 	packedZSingle
@@ -37,10 +35,19 @@ const (
 	packedZMulti
 )
 
+// kind maps a packed family to the engine's stream: the same family's
+// compressed kind when the engine carries the compressed stream.
+func (s *shared) kind(packed sweepKind) sweepKind {
+	if s.packedz != nil {
+		return packed - packedSingle + packedZSingle
+	}
+	return packed
+}
+
 // multiKind reports whether the kind sweeps k trees (its level-size
 // threshold under the fork-join oracle scales with k).
 func (k sweepKind) multiKind() bool {
-	return k == csrMulti || k == csrLanes || k == packedMulti || k == packedZMulti
+	return k == packedMulti || k == packedZMulti
 }
 
 // SchedStats is a snapshot of the persistent scheduler's counters,
@@ -84,8 +91,8 @@ func (e *Engine) runPooled(kind sweepKind, k int) {
 
 // parallelSweep runs one sweep of the given kind on the configured
 // parallel machinery and reports whether it did; false means the caller
-// must run its sequential kernel (single worker, a sweep smaller than
-// one chunk, or the fork-join oracle in a mode without level ranges).
+// must scan [0,n) itself (single worker, a sweep smaller than one
+// chunk, or the fork-join oracle in a mode without level ranges).
 func (e *Engine) parallelSweep(kind sweepKind, k int) bool {
 	s := e.s
 	if s.pool.Workers() <= 1 || s.numChunks <= 1 {
@@ -136,21 +143,15 @@ func (e *Engine) SchedStats() SchedStats {
 // not Release it.
 func (e *Engine) SchedPool() *sched.Pool { return e.s.pool }
 
-// scanChunkKind dispatches one chunk of sweep positions [lo,hi) to the
-// kernel family the sweep was opened with. Shared by the pooled
-// scheduler (per chunk) and the fork-join oracle (per level slice).
+// scanChunkKind runs the kernel of kind over sweep positions [lo,hi).
+// Shared by the sequential sweep ([0,n)), the pooled scheduler (per
+// chunk) and the fork-join oracle (per level slice). The compressed
+// single-tree kind picks its kernel from the stream: the identity-order
+// specialization when the stream carries no vertex words.
 //
 //phast:hotpath
 func (e *Engine) scanChunkKind(kind sweepKind, k int, lo, hi int32) {
 	switch kind {
-	case csrSingle:
-		e.scanCSRChunk(lo, hi)
-	case csrParents:
-		e.scanCSRParentsChunk(lo, hi)
-	case csrMulti:
-		e.scanCSRMultiChunk(lo, hi, k)
-	case csrLanes:
-		e.scanCSRLanesChunk(lo, hi, k)
 	case packedSingle:
 		e.scanPackedChunk(lo, hi)
 	case packedParents:
@@ -158,7 +159,11 @@ func (e *Engine) scanChunkKind(kind sweepKind, k int, lo, hi int32) {
 	case packedMulti:
 		e.scanPackedMultiChunk(lo, hi, k)
 	case packedZSingle:
-		e.scanPackedZChunk(lo, hi)
+		if e.s.packedz.ExplicitVertex() {
+			e.scanPackedZChunk(lo, hi)
+		} else {
+			e.scanPackedZIdentChunk(lo, hi)
+		}
 	case packedZParents:
 		e.scanPackedZParentsChunk(lo, hi)
 	case packedZMulti:

@@ -10,17 +10,18 @@ import (
 	"phast/internal/sched"
 )
 
-// Differential suite for the persistent sweep scheduler: every parallel
-// kernel family must produce the same labels as the fork-join oracle,
-// the sequential kernels, and Dijkstra — across all three sweep modes,
-// both graph layouts, and k ∈ {1, 4, 16}.
+// Differential suite for the persistent sweep scheduler: every kernel
+// family must produce the same labels pooled as under the fork-join
+// oracle, sequentially, in the Section III reference sweep and in
+// Dijkstra — across all three sweep modes, both sweep streams, and
+// k ∈ {1, 4, 16}.
 
 func TestPooledSweepDifferential(t *testing.T) {
 	h, n := raceHierarchy(t)
 	rng := rand.New(rand.NewSource(71))
 	for _, mode := range allModes {
-		for _, packed := range []PackedSetting{PackedOff, PackedOn} {
-			opt := Options{Mode: mode, Workers: 4, PackedSweep: packed, ParallelGrain: 512}
+		for _, compressed := range []bool{false, true} {
+			opt := Options{Mode: mode, Workers: 4, CompressedSweep: compressed, ParallelGrain: 512}
 			pooled, err := NewEngine(h, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -31,27 +32,31 @@ func TestPooledSweepDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := NewEngine(h, Options{Mode: mode, Workers: 1, PackedSweep: packed})
+			seq, err := NewEngine(h, Options{Mode: mode, Workers: 1, CompressedSweep: compressed})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Single tree, against all three oracles.
+			// Single tree, against every oracle.
 			s := int32(rng.Intn(n))
 			pooled.TreeParallel(s)
 			fj.TreeParallel(s)
 			seq.Tree(s)
 			raceFixture.d.Run(s)
+			ref := referenceDist(seq, s)
 			for v := int32(0); v < int32(n); v += 7 {
 				want := raceFixture.d.Dist(v)
+				if ref[v] != want {
+					t.Fatalf("mode=%v: reference dist(%d)=%d, Dijkstra %d", mode, v, ref[v], want)
+				}
 				if got := pooled.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v: pooled dist(%d)=%d, Dijkstra %d", mode, packed, v, got, want)
+					t.Fatalf("mode=%v compressed=%v: pooled dist(%d)=%d, Dijkstra %d", mode, compressed, v, got, want)
 				}
 				if got := fj.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v: fork-join dist(%d)=%d, Dijkstra %d", mode, packed, v, got, want)
+					t.Fatalf("mode=%v compressed=%v: fork-join dist(%d)=%d, Dijkstra %d", mode, compressed, v, got, want)
 				}
 				if got := seq.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v: sequential dist(%d)=%d, Dijkstra %d", mode, packed, v, got, want)
+					t.Fatalf("mode=%v compressed=%v: sequential dist(%d)=%d, Dijkstra %d", mode, compressed, v, got, want)
 				}
 			}
 
@@ -66,15 +71,15 @@ func TestPooledSweepDifferential(t *testing.T) {
 				v := int32(rng.Intn(n))
 				want := seq.Dist(v)
 				if got := pooled.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v parents: pooled dist(%d)=%d, want %d", mode, packed, v, got, want)
+					t.Fatalf("mode=%v compressed=%v parents: pooled dist(%d)=%d, want %d", mode, compressed, v, got, want)
 				}
 				if got := fj.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v parents: fork-join dist(%d)=%d, want %d", mode, packed, v, got, want)
+					t.Fatalf("mode=%v compressed=%v parents: fork-join dist(%d)=%d, want %d", mode, compressed, v, got, want)
 				}
 				path := pooled.PathTo(v)
 				if path == nil {
 					if want != graph.Inf {
-						t.Fatalf("mode=%v packed=%v: no path to reachable %d", mode, packed, v)
+						t.Fatalf("mode=%v compressed=%v: no path to reachable %d", mode, compressed, v)
 					}
 					continue
 				}
@@ -82,36 +87,34 @@ func TestPooledSweepDifferential(t *testing.T) {
 				for j := 1; j < len(path); j++ {
 					w, ok := g.FindArc(path[j-1], path[j])
 					if !ok {
-						t.Fatalf("mode=%v packed=%v: path step %d→%d is not an arc", mode, packed, path[j-1], path[j])
+						t.Fatalf("mode=%v compressed=%v: path step %d→%d is not an arc", mode, compressed, path[j-1], path[j])
 					}
 					sum += w
 				}
 				if sum != want {
-					t.Fatalf("mode=%v packed=%v: path to %d weighs %d, dist %d", mode, packed, v, sum, want)
+					t.Fatalf("mode=%v compressed=%v: path to %d weighs %d, dist %d", mode, compressed, v, sum, want)
 				}
 			}
 
-			// Multi-tree: scalar for every k, the 4-wide lanes where k
-			// allows them.
+			// Multi-tree.
 			for _, k := range []int{1, 4, 16} {
 				sources := make([]int32, k)
 				for i := range sources {
 					sources[i] = int32(rng.Intn(n))
 				}
-				lanes := k%4 == 0 && k >= 4
-				pooled.MultiTreeParallel(sources, lanes)
-				fj.MultiTreeParallel(sources, lanes)
+				pooled.MultiTreeParallel(sources, false)
+				fj.MultiTreeParallel(sources, false)
 				seq.MultiTree(sources, false)
 				for i := range sources {
 					for v := int32(0); v < int32(n); v += 13 {
 						want := seq.MultiDist(i, v)
 						if got := pooled.MultiDist(i, v); got != want {
-							t.Fatalf("mode=%v packed=%v k=%d lanes=%v lane %d: pooled dist(%d)=%d, want %d",
-								mode, packed, k, lanes, i, v, got, want)
+							t.Fatalf("mode=%v compressed=%v k=%d lane %d: pooled dist(%d)=%d, want %d",
+								mode, compressed, k, i, v, got, want)
 						}
 						if got := fj.MultiDist(i, v); got != want {
-							t.Fatalf("mode=%v packed=%v k=%d lanes=%v lane %d: fork-join dist(%d)=%d, want %d",
-								mode, packed, k, lanes, i, v, got, want)
+							t.Fatalf("mode=%v compressed=%v k=%d lane %d: fork-join dist(%d)=%d, want %d",
+								mode, compressed, k, i, v, got, want)
 						}
 					}
 				}

@@ -6,63 +6,48 @@ import "phast/internal/graph"
 // vertex ID) with one upward CH search and one sequential linear sweep.
 // Labels are read back with Dist/RawDistances; previous results become
 // invalid. Parent pointers are not recorded — use TreeWithParents.
-func (e *Engine) Tree(source int32) {
+func (e *Engine) Tree(source int32) { e.tree(source, false) }
+
+// TreeParallel computes the tree from source using the multi-core sweep
+// of Section V on the persistent scheduler. Falls back to the
+// sequential sweep when a single worker is configured or the graph is
+// smaller than one chunk.
+func (e *Engine) TreeParallel(source int32) { e.tree(source, true) }
+
+func (e *Engine) tree(source int32, parallel bool) {
 	e.hasParents = false
 	e.lastMulti = false
 	e.chSearch(source, nil)
-	e.sweepTree(false)
-}
-
-// sweepTree is the single-tree second phase after chSearch: on the
-// pooled scheduler when parallel is set and the engine has one, else
-// the engine's sequential kernel.
-func (e *Engine) sweepTree(parallel bool) {
-	switch {
-	case e.s.packedz != nil:
-		e.buildSeeds()
-		if !parallel || !e.parallelSweep(packedZSingle, 1) {
-			e.sweepPackedZ()
-		}
-	case e.s.packed != nil:
-		e.buildSeeds()
-		if !parallel || !e.parallelSweep(packedSingle, 1) {
-			e.sweepPacked()
-		}
-	default:
-		if parallel && e.parallelSweep(csrSingle, 1) {
-			return
-		}
-		if e.s.order == nil {
-			e.sweepIdentity()
-		} else {
-			e.sweepOrdered()
-		}
-	}
+	e.sweep(e.s.kind(packedSingle), 1, parallel)
 }
 
 // TreeWithParents is Tree but additionally records, for every vertex,
 // the arc of G+ = (V, A ∪ A+) responsible for its label (Section VII-A).
-func (e *Engine) TreeWithParents(source int32) {
+func (e *Engine) TreeWithParents(source int32) { e.treeWithParents(source, false) }
+
+// TreeWithParentsParallel is TreeParallel additionally recording, for
+// every vertex, the arc of G+ responsible for its label (Section
+// VII-A), enabling PathTo.
+func (e *Engine) TreeWithParentsParallel(source int32) { e.treeWithParents(source, true) }
+
+func (e *Engine) treeWithParents(source int32, parallel bool) {
 	if e.parent == nil {
 		e.parent = make([]int32, e.s.n)
 	}
 	e.hasParents = true
 	e.lastMulti = false
 	e.chSearch(source, e.parent)
-	if e.s.packedz != nil {
-		e.buildSeeds()
-		e.sweepPackedZParents()
-		return
-	}
-	if e.s.packed != nil {
-		e.buildSeeds()
-		e.sweepPackedParents()
-		return
-	}
-	if e.s.order == nil {
-		e.sweepIdentityParents()
-	} else {
-		e.sweepOrderedParents()
+	e.sweep(e.s.kind(packedParents), 1, parallel)
+}
+
+// sweep is PHAST's second phase for every tree family: the upward
+// search space becomes the seed cursor, then the kind's kernel runs on
+// the pooled scheduler when parallel is set and the engine has one,
+// else over all of [0,n) on the calling goroutine.
+func (e *Engine) sweep(kind sweepKind, k int, parallel bool) {
+	e.buildSeeds()
+	if !parallel || !e.parallelSweep(kind, k) {
+		e.scanChunkKind(kind, k, 0, int32(e.s.n))
 	}
 }
 
@@ -142,118 +127,6 @@ func (e *Engine) UpwardSearchSpace(source int32, verts []int32, dists []uint32) 
 		e.mark[v] = false
 	}
 	return verts, dists
-}
-
-// sweepIdentity is the second phase in the reordered layout: a pure
-// linear scan over vertices 0..n-1, reading the incoming downward arcs
-// and head labels sequentially (Section IV-A). The only non-sequential
-// accesses are the labels of arc tails.
-//
-//phast:hotpath
-func (e *Engine) sweepIdentity() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	n := int32(e.s.n)
-	for v := int32(0); v < n; v++ {
-		best := graph.Inf
-		if mark[v] {
-			best = dist[v]
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-			}
-		}
-		dist[v] = best
-	}
-}
-
-// sweepOrdered is the second phase when vertices keep their original IDs
-// and are visited through an order array (rank order or level order).
-//
-//phast:hotpath
-func (e *Engine) sweepOrdered() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	for _, v := range e.s.order {
-		best := graph.Inf
-		if mark[v] {
-			best = dist[v]
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-			}
-		}
-		dist[v] = best
-	}
-}
-
-// sweepIdentityParents is sweepIdentity recording parent pointers too.
-//
-//phast:hotpath
-func (e *Engine) sweepIdentityParents() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	parent := e.parent
-	n := int32(e.s.n)
-	for v := int32(0); v < n; v++ {
-		best := graph.Inf
-		bestP := int32(-1)
-		if mark[v] {
-			best = dist[v]
-			bestP = parent[v] // set by the CH search
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-				bestP = a.Head
-			}
-		}
-		dist[v] = best
-		parent[v] = bestP
-	}
-}
-
-// sweepOrderedParents is sweepOrdered recording parent pointers too.
-//
-//phast:hotpath
-func (e *Engine) sweepOrderedParents() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	parent := e.parent
-	for _, v := range e.s.order {
-		best := graph.Inf
-		bestP := int32(-1)
-		if mark[v] {
-			best = dist[v]
-			bestP = parent[v]
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-				bestP = a.Head
-			}
-		}
-		dist[v] = best
-		parent[v] = bestP
-	}
 }
 
 // ParentGPlus returns the G+ parent (original ID space) of v recorded by

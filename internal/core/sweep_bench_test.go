@@ -8,8 +8,8 @@ import (
 )
 
 // Sweep-kernel microbenchmarks: phase 2 only, no upward search in the
-// timed region, so the packed stream and the legacy CSR+mark kernels
-// are compared on exactly the code the fused layout changes.
+// timed region, so the packed and compressed streams are compared on
+// exactly the kernels that read them.
 
 var sweepBench struct {
 	h *ch.Hierarchy
@@ -26,43 +26,13 @@ func sweepHierarchy(b *testing.B) (*ch.Hierarchy, int) {
 	return sweepBench.h, sweepBench.n
 }
 
-func benchSweepKernel(b *testing.B, packed PackedSetting) {
+func benchSweepKernel(b *testing.B, compressed bool) {
 	h, n := sweepHierarchy(b)
-	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1, PackedSweep: packed})
+	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1, CompressedSweep: compressed})
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := int32(n / 2)
-	b.ResetTimer()
-	if packed != PackedOff {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e.chSearch(src, nil)
-			e.buildSeeds()
-			b.StartTimer()
-			e.sweepPacked()
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e.chSearch(src, nil)
-			b.StartTimer()
-			e.sweepIdentity()
-		}
-	}
-}
-
-func BenchmarkSweepKernelPacked(b *testing.B) { benchSweepKernel(b, PackedOn) }
-func BenchmarkSweepKernelLegacy(b *testing.B) { benchSweepKernel(b, PackedOff) }
-
-// BenchmarkSweepKernelCompressed times the delta+varint decode kernel
-// on the same fixture, isolating decode cost from the upward search.
-func BenchmarkSweepKernelCompressed(b *testing.B) {
-	h, n := sweepHierarchy(b)
-	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1, CompressedSweep: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	kind := e.s.kind(packedSingle)
 	src := int32(n / 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,6 +40,12 @@ func BenchmarkSweepKernelCompressed(b *testing.B) {
 		e.chSearch(src, nil)
 		e.buildSeeds()
 		b.StartTimer()
-		e.sweepPackedZ()
+		e.scanChunkKind(kind, 1, 0, int32(n))
 	}
 }
+
+func BenchmarkSweepKernelPacked(b *testing.B) { benchSweepKernel(b, false) }
+
+// BenchmarkSweepKernelCompressed times the compressed decode kernel on
+// the same fixture, isolating decode cost from the upward search.
+func BenchmarkSweepKernelCompressed(b *testing.B) { benchSweepKernel(b, true) }

@@ -7,22 +7,15 @@ import (
 	"phast/internal/core"
 )
 
-// Bound measures the achieved bandwidth of the real sweep kernels
-// against the Section VIII-B memory lower bounds: the pure sequential
-// stream sets the ceiling, and the packed (fused single-stream) and
-// legacy (first/arclist/mark) single-tree sweeps are reported as
-// modeled GB/s with their slowdown relative to the stream — the
+// Bound measures the achieved bandwidth of the production single-tree
+// sweep against the Section VIII-B memory lower bounds: the pure
+// sequential stream sets the ceiling, and the packed sweep is reported
+// as modeled GB/s with its slowdown relative to the stream — the
 // regression-checkable form of the paper's "PHAST runs within 2.6x of
-// the memory bound" argument. The packed kernel must not trail the
-// legacy one; CI's benchmark smoke job enforces the same ordering.
+// the memory bound" argument. CI's benchmark smoke job gates the same
+// ratio against its recorded baseline.
 func Bound(e *Env) ([]*Table, error) {
 	packed, err := e.Engine(core.SweepReordered, 1)
-	if err != nil {
-		return nil, err
-	}
-	legacy, err := core.NewEngine(e.H, core.Options{
-		Mode: core.SweepReordered, Workers: 1, PackedSweep: core.PackedOff,
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -34,20 +27,9 @@ func Bound(e *Env) ([]*Table, error) {
 	seqBytes := bandwidth.BytesTouched(downIn, dist)
 
 	packed.Tree(e.Sources[0]) // warm
-	legacy.Tree(e.Sources[0])
-	// Interleaved min-of-rounds, alternating order: on cache-resident
-	// presets the two kernels are separated by less than scheduler
-	// jitter, so a single back-to-back pair regularly flips the sign.
 	tPacked := time.Duration(1<<63 - 1)
-	tLegacy := tPacked
 	for r := 0; r < 3; r++ {
-		if r%2 == 0 {
-			tPacked = min(tPacked, e.perTree(func(s int32) { packed.Tree(s) }))
-			tLegacy = min(tLegacy, e.perTree(func(s int32) { legacy.Tree(s) }))
-		} else {
-			tLegacy = min(tLegacy, e.perTree(func(s int32) { legacy.Tree(s) }))
-			tPacked = min(tPacked, e.perTree(func(s int32) { packed.Tree(s) }))
-		}
+		tPacked = min(tPacked, e.perTree(func(s int32) { packed.Tree(s) }))
 	}
 
 	t := &Table{
@@ -62,13 +44,9 @@ func Bound(e *Env) ([]*Table, error) {
 	row("sequential stream (lower bound)", seq, seqBytes)
 	row("vertex-loop traversal bound", trav, seqBytes)
 	row("PHAST sweep, packed stream", tPacked, packed.SweepBytes(1))
-	row("PHAST sweep, legacy CSR kernels", tLegacy, legacy.SweepBytes(1))
 	csrBytes := int64(downIn.NumVertices()+1)*4 + int64(downIn.NumArcs())*8 + int64(downIn.NumVertices())
 	t.AddNote("packed stream: %d words = %s MB fused layout vs %s MB CSR+mark",
 		packed.Packed().Words(), mb(packed.Packed().MemoryBytes()), mb(csrBytes))
 	t.AddNote("ratios include the upward CH search; paper: PHAST within 2.6x of the stream (Sec. VIII-B)")
-	if tPacked > tLegacy {
-		t.AddNote("WARNING: packed sweep slower than legacy on this host — investigate before shipping")
-	}
 	return []*Table{t}, nil
 }

@@ -133,7 +133,7 @@ func Suite() []Runner {
 	return []Runner{
 		{"fig1", "vertices per CH level", Fig1},
 		{"table1", "single-tree performance across layouts", Table1},
-		{"table2", "multiple trees: k, cores, SSE lanes", Table2},
+		{"table2", "multiple trees: k, cores", Table2},
 		{"table3", "GPHAST time and memory vs trees per sweep", Table3},
 		{"table4", "machine catalogue", Table4},
 		{"table5", "architecture impact on Dijkstra and PHAST", Table5},

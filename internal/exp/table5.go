@@ -35,7 +35,7 @@ func Table5(e *Env) ([]*Table, error) {
 	}
 	eng.Tree(0)
 	phastSingle := e.perTree(func(s int32) { eng.Tree(perm[s]) })
-	phast16 := e.multiTreePerTree(eng, 16, 1, true)
+	phast16 := e.multiTreePerTree(eng, 16, 1)
 	e.logf("table5: anchors measured (dijkstra %s ms, phast %s ms, phast k=16 %s ms)",
 		ms(dijkstraSingle), ms(phastSingle), ms(phast16))
 

@@ -30,7 +30,7 @@ func Table6(e *Env) ([]*Table, error) {
 	}
 
 	// Anchors: best Dijkstra (Dial, one tree per core) and best PHAST (16
-	// trees per sweep per core, lanes) on this host.
+	// trees per sweep per core) on this host.
 	d := sssp.NewDijkstra(g, pq.KindDial)
 	d.Run(0)
 	dijkstraSingle := e.perTree(func(s int32) { d.Run(perm[s]) })
@@ -39,7 +39,7 @@ func Table6(e *Env) ([]*Table, error) {
 		return nil, err
 	}
 	eng.Tree(0)
-	phast16 := e.multiTreePerTree(eng, 16, 1, true)
+	phast16 := e.multiTreePerTree(eng, 16, 1)
 
 	// Memory footprints (bytes) during tree construction.
 	dijkstraMem := g.MemoryBytes() + int64(n)*16 // labels, parents, queue state

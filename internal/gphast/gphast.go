@@ -99,39 +99,17 @@ func NewEngine(ce *core.Engine, dev *simt.Device, maxK int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Upload the graph once (amortized over all trees, as on the card).
+	// Upload the graph once (amortized over all trees, as on the card),
+	// staged from the downward CSR whatever stream the CPU engine sweeps.
 	fw := make([]uint32, n+1)
+	for i, x := range downIn.FirstOut() {
+		fw[i] = uint32(x)
+	}
 	hw := make([]uint32, m)
 	ww := make([]uint32, m)
-	if pk := ce.Packed(); pk != nil && !pk.ExplicitVertex() {
-		// The CPU engine already fused the downward CSR into the packed
-		// sweep stream; in SweepReordered mode its blocks are in vertex
-		// order with implicit IDs, so one decode pass fills the device
-		// staging arrays without re-walking the AoS arc list.
-		stream := pk.Stream()
-		i, ai := 0, 0
-		for v := 0; v < n; v++ {
-			fw[v] = uint32(ai)
-			deg := int(stream[i])
-			i++
-			for a := 0; a < deg; a++ {
-				hw[ai] = stream[i]
-				ww[ai] = stream[i+1]
-				i += 2
-				ai++
-			}
-		}
-		fw[n] = uint32(ai)
-	} else {
-		fo := downIn.FirstOut()
-		for i, x := range fo {
-			fw[i] = uint32(x)
-		}
-		arcs := downIn.ArcList()
-		for i, a := range arcs {
-			hw[i] = uint32(a.Head)
-			ww[i] = a.Weight
-		}
+	for i, a := range downIn.ArcList() {
+		hw[i] = uint32(a.Head)
+		ww[i] = a.Weight
 	}
 	e.first.CopyIn(0, fw)
 	e.heads.CopyIn(0, hw)

@@ -19,7 +19,7 @@ import (
 //
 //   - direct calls of package-level functions (`buildSeeds(...)`,
 //     `graph.AddSat(...)`),
-//   - method calls whose receiver type is concrete (`e.scanCSRChunk(...)`);
+//   - method calls whose receiver type is concrete (`e.scanPackedChunk(...)`);
 //     interface method calls are dynamic dispatch and are not resolved,
 //   - calls through a local variable that was assigned exactly one
 //     named function (`f := helper; ...; f()`). A variable assigned two

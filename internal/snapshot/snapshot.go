@@ -502,8 +502,10 @@ func FromBytes(data []byte) (*Snapshot, error) {
 	if mode != core.SweepReordered && !explicit {
 		return nil, fmt.Errorf("snapshot: %v mode without a sweep order", mode)
 	}
-	if flags&flagPacked != 0 && flags&flagPackedZ != 0 {
-		return nil, fmt.Errorf("snapshot: both stream kinds flagged")
+	// Every engine sweeps exactly one stream; a file flagging neither
+	// (written before the CSR kernels were retired) has nothing to sweep.
+	if (flags&flagPacked != 0) == (flags&flagPackedZ != 0) {
+		return nil, fmt.Errorf("snapshot: flags %#x must name exactly one sweep stream kind", flags)
 	}
 
 	i32s := func(idx int, count int, what string) ([]int32, error) {
@@ -670,10 +672,16 @@ func FromBytes(data []byte) (*Snapshot, error) {
 		}
 	}
 
+	unflagged := [2]int{secPackedZStream, secPackedZBlocks}
+	if flags&flagPacked == 0 {
+		unflagged = [2]int{secPackedStream, secPackedBlocks}
+	}
+	if secs[unflagged[0]].len != 0 || secs[unflagged[1]].len != 0 {
+		return nil, fmt.Errorf("snapshot: sections of the unflagged sweep stream kind are not empty")
+	}
 	var packed *graph.Packed
 	var packedz *graph.PackedZ
-	switch {
-	case flags&flagPacked != 0:
+	if flags&flagPacked != 0 {
 		stream := secs[secPackedStream]
 		if stream.len%4 != 0 || stream.len/4 >= maxDim {
 			return nil, fmt.Errorf("snapshot: packed stream section has odd length %d", stream.len)
@@ -690,7 +698,7 @@ func FromBytes(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-	case flags&flagPackedZ != 0:
+	} else {
 		stream := secs[secPackedZStream]
 		var bytes []byte
 		if stream.len > 0 {
@@ -703,10 +711,6 @@ func FromBytes(data []byte) (*Snapshot, error) {
 		packedz, err = graph.PackedZFromParts(bytes, blocks, n, downIn.NumArcs(), explicit)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-	default:
-		if secs[secPackedStream].len != 0 || secs[secPackedZStream].len != 0 {
-			return nil, fmt.Errorf("snapshot: stream sections present without a stream flag")
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -37,11 +38,10 @@ func engineConfigs() []struct {
 	}{
 		{"reordered/packed", core.Options{Mode: core.SweepReordered}},
 		{"reordered/packedz", core.Options{Mode: core.SweepReordered, CompressedSweep: true}},
-		{"reordered/legacy", core.Options{Mode: core.SweepReordered, PackedSweep: core.PackedOff}},
 		{"levelorder/packed", core.Options{Mode: core.SweepLevelOrder}},
 		{"levelorder/packedz", core.Options{Mode: core.SweepLevelOrder, CompressedSweep: true}},
 		{"rankorder/packed", core.Options{Mode: core.SweepRankOrder}},
-		{"rankorder/legacy", core.Options{Mode: core.SweepRankOrder, PackedSweep: core.PackedOff}},
+		{"rankorder/packedz", core.Options{Mode: core.SweepRankOrder, CompressedSweep: true}},
 	}
 }
 
@@ -67,9 +67,8 @@ func checkIdentical(t *testing.T, n int, src, got *core.Engine) {
 		for i := range sources {
 			sources[i] = int32(rng.Intn(n))
 		}
-		useLanes := k%4 == 0
-		src.MultiTree(sources, useLanes)
-		got.MultiTree(sources, useLanes)
+		src.MultiTree(sources, false)
+		got.MultiTree(sources, false)
 		for i := 0; i < k; i++ {
 			src.CopyLaneDistances(i, a)
 			got.CopyLaneDistances(i, b)
@@ -244,6 +243,7 @@ func TestRejectsForgery(t *testing.T) {
 	forge("bad version", func(b []byte) []byte { put64(b, 8, 99); return b })
 	forge("wrong file size", func(b []byte) []byte { put64(b, 16, uint64(len(b))+8); return b })
 	forge("unknown flags", func(b []byte) []byte { put64(b, 24, 1<<40); return b })
+	forge("both stream kinds", func(b []byte) []byte { put64(b, 24, u64at(b, 24)|flagPackedZ); return b })
 	forge("huge n", func(b []byte) []byte { put64(b, 32, 1<<40); return b })
 	forge("huge name", func(b []byte) []byte { put64(b, 64, 1<<20); return b })
 	forge("wrong section count", func(b []byte) []byte { put64(b, 72, 7); return b })
@@ -265,6 +265,32 @@ func TestRejectsForgery(t *testing.T) {
 		put64(b, off+16, u64at(b, off))
 		return b
 	})
+
+	// A header flagging no stream, as files from engines without a
+	// sweep stream carried, is refused for that reason and no other.
+	b := append([]byte(nil), good...)
+	put64(b, 24, u64at(b, 24)&^flagPacked)
+	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "exactly one sweep stream") {
+		t.Errorf("stream-less header: got %v, want the one-stream error", err)
+	}
+
+	// Both streams written, one flag cleared: the unflagged stream's
+	// sections must not ride along unvalidated.
+	z, err := core.NewEngine(h, core.Options{Workers: 1, CompressedSweep: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := eng.Parts()
+	parts.PackedZ = z.Parts().PackedZ
+	var both bytes.Buffer
+	if _, err := Write(&both, parts, g); err != nil {
+		t.Fatal(err)
+	}
+	b = both.Bytes()
+	put64(b, 24, u64at(b, 24)&^flagPackedZ)
+	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "unflagged") {
+		t.Errorf("packed header with compressed sections: got %v, want the unflagged-sections error", err)
+	}
 }
 
 // FuzzSnapshotRoundTrip mutates the header and section table of a valid

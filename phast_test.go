@@ -106,7 +106,7 @@ func TestPublicSurface(t *testing.T) {
 	}
 
 	// Multi-tree.
-	e.MultiTree([]int32{1, 2, 3, 4}, true)
+	e.MultiTree([]int32{1, 2, 3, 4})
 	d.Run(2)
 	for v := int32(0); v < int32(g.NumVertices()); v += 5 {
 		if e.MultiDist(1, v) != d.Dist(v) {
@@ -146,9 +146,6 @@ func TestCompressedSweepFacade(t *testing.T) {
 	}
 	if plain.StreamBytes() <= e.StreamBytes() {
 		t.Fatal("compressed stream is not smaller than packed")
-	}
-	if _, err := phast.Preprocess(g, &phast.Options{CompressedSweep: true, LegacySweep: true}); err == nil {
-		t.Fatal("CompressedSweep+LegacySweep accepted")
 	}
 }
 
