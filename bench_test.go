@@ -92,8 +92,8 @@ func (f *fixture) engineOpts(b *testing.B, opt core.Options) *core.Engine {
 }
 
 // reportSweepGBps attaches the modeled achieved bandwidth of the sweep:
-// the engine's bytes-touched model for its sweep stream (packed or
-// compressed, k-lane aware) divided by wall time. The wall time
+// the engine's bytes-touched model for its packed sweep stream (k-lane
+// aware) divided by wall time. The wall time
 // includes the upward CH search, so the figure is conservative.
 func reportSweepGBps(b *testing.B, e *core.Engine, k int) {
 	b.ReportMetric(bandwidth.GBps(e.SweepBytes(k)*int64(b.N), b.Elapsed()), "modeled-GB/s")

@@ -1,5 +1,5 @@
-// Command benchsmoke is the CI benchmark smoke check, with two gated
-// metrics:
+// Command benchsmoke is the CI benchmark smoke check, one gate per
+// mode:
 //
 //   - sweep: times the packed single-tree and k=16 sweeps against a
 //     sequential stream over the same downward graph (the Section
@@ -34,15 +34,6 @@
 //     which is exactly the cost customization exists to avoid; the
 //     measured ratio is scale-robust in customization's favor (both
 //     sides grow with the same triangle count).
-//   - stream: times the compressed (delta+varint, narrow-weight) sweep
-//     stream against the uncompressed packed stream on the europe-m
-//     fixture, writes BENCH_7.json, and exits non-zero if the
-//     compressed stream fails to shrink below the bytes tolerance
-//     (default 0.75x packed), the compressed single-tree sweep runs
-//     slower than the stream time tolerance (default 1.10x packed), or
-//     the k=16 multi-tree sweep exceeds its multi tolerance (default
-//     1.08x packed — both streams feed one register-resident relax, so
-//     only the compressed block decode separates them).
 //   - snapshot: preprocesses the europe-m fixture once, saves the
 //     engine snapshot, and times the mmap and heap restores against
 //     the rebuild, writing BENCH_8.json; exits non-zero if the mmap
@@ -53,12 +44,11 @@
 //
 // Usage:
 //
-//	benchsmoke                       run all gates, write BENCH_3..8.json
+//	benchsmoke                       run all gates, write BENCH_3..6 and BENCH_8.json
 //	benchsmoke -mode sweep -out report.json -tolerance 1.10
 //	benchsmoke -mode chbuild -chbuild-out BENCH_4.json
 //	benchsmoke -mode sched -sched-out BENCH_5.json -sched-tolerance 1.10
 //	benchsmoke -mode customize -customize-out BENCH_6.json
-//	benchsmoke -mode stream -stream-out BENCH_7.json -stream-tolerance 1.10
 //	benchsmoke -mode snapshot -snapshot-out BENCH_8.json -snapshot-speedup 50
 package main
 
@@ -789,139 +779,6 @@ func runCustomize(out, preset string, maxRatio float64) error {
 	return nil
 }
 
-// StreamResult is one measured stream-layout cell.
-type StreamResult struct {
-	Name         string  `json:"name"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	NsPerTree    float64 `json:"ns_per_tree"`
-	ModeledGBps  float64 `json:"modeled_gbps"`
-	StreamBytes  int64   `json:"stream_bytes"`
-	BytesPerVert float64 `json:"bytes_per_vertex"`
-	StreamRatio  float64 `json:"stream_ratio"` // vs the uncompressed packed stream
-}
-
-// StreamReport is the BENCH_7.json schema: the compressed-stream gate.
-type StreamReport struct {
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-	Instance  string `json:"instance"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	// BytesRatio is compressed stream bytes over packed stream bytes —
-	// the space half of the gate (must stay ≤ the bytes tolerance).
-	BytesRatio float64 `json:"bytes_ratio"`
-	// RatioTree/RatioMulti are compressed ns/tree over packed ns/tree —
-	// the time half of the gate. The single tree must stay ≤ the stream
-	// tolerance; the k=16 multi ratio gets its own slightly looser gate
-	// (default 1.08) because at k=16 the k·n label streams dominate and
-	// the graph stream is a sliver, so the ratio is noisier. Both
-	// streams share one register-resident relax and differ only in the
-	// compressed block decode, so a breach past 8% means the decode or
-	// its staging regressed, not the noise floor.
-	RatioTree  float64 `json:"ratio_tree"`
-	RatioMulti float64 `json:"ratio_multi_k16"`
-	// ShapeHistogram counts compressed blocks per header shape
-	// ("d8w16" = 1-byte deltas, 2-byte weights). The decoders
-	// specialize the four narrow shapes with constant shifts;
-	// read a ratio regression against this mix — more generic-shape
-	// blocks means slower decode at the same byte count.
-	ShapeHistogram map[string]int `json:"shape_histogram"`
-	Results        []StreamResult `json:"results"`
-}
-
-// runStream gates the compressed sweep layout against its packed twin:
-// the compressed stream must be substantially smaller (bytes ratio) and
-// the single-tree sweep over it must not be materially slower (time
-// ratio) — decoding varints must be cheaper than the bandwidth saved,
-// or at worst nearly free.
-func runStream(out, preset string, timeTolerance, bytesTolerance, multiTolerance float64) error {
-	g, h, sources, err := buildFixture(roadnet.Preset(preset))
-	if err != nil {
-		return err
-	}
-	mk := func(compressed bool) (*core.Engine, error) {
-		return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: 1, CompressedSweep: compressed})
-	}
-	z := StreamResult{Name: "Stream_compressed_tree", NsPerOp: math.Inf(1)}
-	p := StreamResult{Name: "Stream_packed_tree", NsPerOp: math.Inf(1)}
-	zm := StreamResult{Name: "Stream_compressed_multi_k16", NsPerOp: math.Inf(1)}
-	pm := StreamResult{Name: "Stream_packed_multi_k16", NsPerOp: math.Inf(1)}
-	for r := 0; r < rounds; r++ {
-		variants := []bool{true, false}
-		if r%2 == 1 { // alternate construction and run order
-			variants[0], variants[1] = variants[1], variants[0]
-		}
-		for _, compressed := range variants {
-			e, err := mk(compressed)
-			if err != nil {
-				return err
-			}
-			e.Tree(sources[0]) // pay first-touch faults outside the timer
-			ns, gbps := benchTree(e, sources)
-			nsm, gbpsm := benchMulti(e, sources, 16)
-			tree, multi := &p, &pm
-			if compressed {
-				tree, multi = &z, &zm
-			}
-			if ns < tree.NsPerOp {
-				tree.NsPerOp, tree.NsPerTree, tree.ModeledGBps = ns, ns, gbps
-				tree.StreamBytes = e.StreamBytes()
-				tree.BytesPerVert = float64(e.StreamBytes()) / float64(g.NumVertices())
-				tree.StreamRatio = e.CompressionRatio()
-			}
-			if nsm < multi.NsPerOp {
-				multi.NsPerOp, multi.NsPerTree, multi.ModeledGBps = nsm, nsm/16, gbpsm
-				multi.StreamBytes = e.StreamBytes()
-				multi.BytesPerVert = float64(e.StreamBytes()) / float64(g.NumVertices())
-				multi.StreamRatio = e.CompressionRatio()
-			}
-		}
-	}
-
-	// One more compressed engine purely for the shape histogram — the
-	// timed engines above were discarded as the rounds alternated.
-	ze, err := mk(true)
-	if err != nil {
-		return err
-	}
-	rep := StreamReport{
-		GoVersion:      runtime.Version(),
-		GOARCH:         runtime.GOARCH,
-		Instance:       preset + "/dfs",
-		N:              g.NumVertices(),
-		M:              g.NumArcs(),
-		BytesRatio:     float64(z.StreamBytes) / float64(p.StreamBytes),
-		RatioTree:      z.NsPerTree / p.NsPerTree,
-		RatioMulti:     zm.NsPerTree / pm.NsPerTree,
-		ShapeHistogram: ze.StreamShapeHistogram(),
-		Results:        []StreamResult{z, p, zm, pm},
-	}
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-32s %12.0f ns/op %12.0f ns/tree %8.2f modeled GB/s %8.1f B/vertex\n",
-			r.Name, r.NsPerOp, r.NsPerTree, r.ModeledGBps, r.BytesPerVert)
-	}
-	fmt.Printf("stream bytes ratio: %.3f (gate: ≤ %.2f); time ratio: %.3fx single-tree (gate: ≤ %.2f), %.3fx multi k=16 (gate: ≤ %.2f)\n",
-		rep.BytesRatio, bytesTolerance, rep.RatioTree, timeTolerance, rep.RatioMulti, multiTolerance)
-
-	if rep.BytesRatio > bytesTolerance {
-		return fmt.Errorf("compressed stream is %.3fx packed bytes (tolerance %.2f)", rep.BytesRatio, bytesTolerance)
-	}
-	if rep.RatioTree > timeTolerance {
-		return fmt.Errorf("compressed single-tree sweep is %.3fx packed time (tolerance %.2f)", rep.RatioTree, timeTolerance)
-	}
-	if rep.RatioMulti > multiTolerance {
-		return fmt.Errorf("compressed k=16 multi-tree sweep is %.3fx packed time (tolerance %.2f)", rep.RatioMulti, multiTolerance)
-	}
-	return nil
-}
-
 // SnapshotReport is the BENCH_8.json schema: the zero-copy cold-start
 // gate and the sharded-serving latency gate.
 type SnapshotReport struct {
@@ -1113,7 +970,7 @@ func runSnapshot(out, preset string, minSpeedup, shardTolerance float64, shards 
 
 func main() {
 	var (
-		mode = flag.String("mode", "all", "which gates to run: sweep, chbuild, or all")
+		mode = flag.String("mode", "all", "which gates to run: sweep, chbuild, sched, customize, snapshot, or all")
 		out  = flag.String("out", "BENCH_3.json", "sweep report path")
 		// 1.15 rather than a tight 1.02: shared CI hosts show ±10%
 		// run-to-run jitter even with interleaved fresh-engine rounds,
@@ -1139,20 +996,7 @@ func main() {
 		// europe-xs, not -preset: the baseline side (all-pairs rebuild)
 		// is minutes-long at europe-m — see the package comment.
 		customizePreset = flag.String("customize-preset", "europe-xs", "roadnet preset for the customize gate")
-		streamOut       = flag.String("stream-out", "BENCH_7.json", "stream report path")
-		// 1.10: the compressed kernels decode varints inline, so some
-		// overhead is tolerable — but more than 10% over packed means the
-		// decode cost ate the bandwidth win and the layout regressed.
-		streamTolerance = flag.Float64("stream-tolerance", 1.10, "max allowed compressed/packed single-tree time ratio before failing")
-		// 0.75: the compressed stream must actually compress — delta+varint
-		// heads and narrow weights run well under this on road networks.
-		streamBytesRatio = flag.Float64("stream-bytes-ratio", 0.75, "max allowed compressed/packed stream byte ratio before failing")
-		// 1.08: at k=16 the graph stream is a sliver of the traffic, so
-		// the ratio is noisier than the single-tree one — but both
-		// streams feed the same register relax, so 8% covers the jitter
-		// while still catching a regression in the compressed decode.
-		streamMultiTolerance = flag.Float64("stream-multi-tolerance", 1.08, "max allowed compressed/packed k=16 multi-tree time ratio before failing")
-		snapshotOut          = flag.String("snapshot-out", "BENCH_8.json", "snapshot report path")
+		snapshotOut     = flag.String("snapshot-out", "BENCH_8.json", "snapshot report path")
 		// 50: restoring from a snapshot must be a different complexity
 		// class than rebuilding — page mapping plus validation versus a
 		// full CH contraction. Measured speedups run in the hundreds at
@@ -1170,9 +1014,6 @@ func main() {
 		"chbuild":   func() error { return runCHBuild(*chbuildOut, *preset, *tolerance) },
 		"sched":     func() error { return runSched(*schedOut, *preset, *schedTolerance) },
 		"customize": func() error { return runCustomize(*customizeOut, *customizePreset, *customizeTolerance) },
-		"stream": func() error {
-			return runStream(*streamOut, *preset, *streamTolerance, *streamBytesRatio, *streamMultiTolerance)
-		},
 		"snapshot": func() error {
 			return runSnapshot(*snapshotOut, *preset, *snapshotSpeedup, *snapshotShardTolerance, *snapshotShards)
 		},
@@ -1180,11 +1021,11 @@ func main() {
 	var selected []func() error
 	switch *mode {
 	case "all":
-		selected = []func() error{runs["sweep"], runs["chbuild"], runs["sched"], runs["customize"], runs["stream"], runs["snapshot"]}
-	case "sweep", "chbuild", "sched", "customize", "stream", "snapshot":
+		selected = []func() error{runs["sweep"], runs["chbuild"], runs["sched"], runs["customize"], runs["snapshot"]}
+	case "sweep", "chbuild", "sched", "customize", "snapshot":
 		selected = []func() error{runs[*mode]}
 	default:
-		fmt.Fprintf(os.Stderr, "benchsmoke: unknown -mode %q (sweep, chbuild, sched, customize, stream, snapshot, all)\n", *mode)
+		fmt.Fprintf(os.Stderr, "benchsmoke: unknown -mode %q (sweep, chbuild, sched, customize, snapshot, all)\n", *mode)
 		os.Exit(2)
 	}
 	for _, fn := range selected {

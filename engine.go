@@ -27,11 +27,6 @@ type Options struct {
 	// dependency-bounded chunk scheduler. Retained as a differential
 	// oracle and A/B baseline.
 	ForkJoinSweep bool
-	// CompressedSweep replaces the packed single-stream layout with its
-	// byte-compressed twin (delta+varint arc heads, width-tagged narrow
-	// weights): the sweep scans fewer bytes for the same relaxations,
-	// which matters exactly as much as the sweep is bandwidth-bound.
-	CompressedSweep bool
 	// ParallelGrain pins the scheduler chunk size in sweep positions.
 	// 0 (the default) sizes chunks by a byte budget instead: the stream
 	// bytes each chunk spans stay within ChunkBytes, so a chunk's
@@ -45,12 +40,11 @@ type Options struct {
 
 func (o *Options) coreOptions() core.Options {
 	return core.Options{
-		Mode:            o.SweepMode,
-		Workers:         o.SweepWorkers,
-		CompressedSweep: o.CompressedSweep,
-		ForkJoinSweep:   o.ForkJoinSweep,
-		ParallelGrain:   o.ParallelGrain,
-		ChunkBytes:      o.ChunkBytes,
+		Mode:          o.SweepMode,
+		Workers:       o.SweepWorkers,
+		ForkJoinSweep: o.ForkJoinSweep,
+		ParallelGrain: o.ParallelGrain,
+		ChunkBytes:    o.ChunkBytes,
 	}
 }
 
@@ -309,16 +303,9 @@ type SchedStats = core.SchedStats
 // engines sharing this preprocessed data.
 func (e *Engine) SchedStats() SchedStats { return e.core.SchedStats() }
 
-// StreamBytes returns the bytes of the sweep stream one tree scans —
-// the compressed stream's byte length under Options.CompressedSweep,
-// the packed stream's words×4 otherwise. The numerator of the layout's
-// compression ratio and the graph term of the bandwidth model.
+// StreamBytes returns the bytes of the packed sweep stream one tree
+// scans (its words × 4): the graph term of the bandwidth model.
 func (e *Engine) StreamBytes() int64 { return e.core.StreamBytes() }
-
-// CompressionRatio returns StreamBytes relative to the uncompressed
-// packed stream (1.0 for uncompressed layouts; < 1 means the sweep
-// scans fewer bytes than the packed baseline).
-func (e *Engine) CompressionRatio() float64 { return e.core.CompressionRatio() }
 
 // Dist returns the distance of v from the last tree's source, or Inf.
 func (e *Engine) Dist(v int32) uint32 { return e.core.Dist(v) }

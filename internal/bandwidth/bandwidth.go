@@ -125,9 +125,9 @@ type SweepTraffic struct {
 	// K is the number of trees grown per sweep (0 is treated as 1).
 	K int
 	// StreamBytes, when positive, is the byte length of the fused sweep
-	// stream (graph.Packed words or graph.PackedZ bytes): the whole
-	// graph walk reads exactly these bytes. Zero models the plain CSR
-	// layout of Section III (first, arclist and a mark byte per vertex).
+	// stream (graph.Packed words × 4): the whole graph walk reads
+	// exactly these bytes. Zero models the plain CSR layout of Section
+	// III (first, arclist and a mark byte per vertex).
 	StreamBytes int64
 	// Parents adds the parent-pointer write stream (TreeWithParents).
 	Parents bool

@@ -7,11 +7,10 @@
 //     Section III), level order without relabeling, and the fully
 //     reordered layout of Section IV-A where the sweep is a pure linear
 //     scan in increasing vertex ID;
-//   - one sweep stream per engine, packed words (graph.Packed) or their
-//     byte-compressed form (graph.PackedZ), with implicit
-//     initialization (Section IV-C) folded into a sorted cursor over
-//     the upward search space, so a tree computation never pays an O(n)
-//     clearing pass and the sweep never reads a mark array;
+//   - one sweep stream per engine, the packed words of graph.Packed,
+//     with implicit initialization (Section IV-C) folded into a sorted
+//     cursor over the upward search space, so a tree computation never
+//     pays an O(n) clearing pass and the sweep never reads a mark array;
 //   - multi-tree sweeps that grow k trees at once with the k labels of a
 //     vertex contiguous in memory (Section IV-B), relaxing them in
 //     register-resident 4-wide lane groups mirroring the paper's SSE
@@ -23,8 +22,8 @@
 //   - parent pointers in G+ and their projection to shortest-path trees
 //     of the original graph (Section VII-A).
 //
-// Every sweep is one kernel per stream and tree family (sweepKind),
-// run over [0,n) sequentially or chunk by chunk on the pool.
+// Every sweep is one kernel per tree family (sweepKind), run over
+// [0,n) sequentially or chunk by chunk on the pool.
 package core
 
 import (
@@ -89,11 +88,6 @@ type Options struct {
 	// pool goroutines at construction. 0 selects GOMAXPROCS. Adjustable
 	// later with Engine.SetWorkers.
 	Workers int
-	// CompressedSweep selects the delta+varint compressed stream
-	// (graph.PackedZ) instead of the uncompressed packed words
-	// (graph.Packed): the sweep reads roughly half the bytes at the cost
-	// of inline decode.
-	CompressedSweep bool
 	// ForkJoinSweep routes parallel sweeps through the original
 	// per-level fork-join barriers instead of the persistent
 	// dependency-bounded scheduler. Kept as a differential oracle and
@@ -126,12 +120,8 @@ type shared struct {
 	toEngine    []int32    // original ID -> engine ID
 	toOrig      []int32    // engine ID -> original ID
 	// packed is the fused single-stream sweep layout of downIn in sweep
-	// order; nil when the compressed stream stands in for it.
+	// order.
 	packed *graph.Packed
-	// packedz is the delta+varint compressed sweep stream; non-nil
-	// exactly when Options.CompressedSweep selected it. Exactly one of
-	// packed and packedz is set: an engine carries one stream.
-	packedz *graph.PackedZ
 	// pos maps an engine vertex ID to its sweep position (the inverse of
 	// order); nil when the order is the identity.
 	pos []int32
@@ -154,7 +144,7 @@ type shared struct {
 	numChunks int32
 	// chunkDep[c] is the chunk index the completion frontier must pass
 	// before chunk c may start (-1: no external dependency). Derived
-	// from graph.ChunkDepBounds position bounds at construction.
+	// from (*graph.Packed).ChunkDepBoundsAt position bounds at construction.
 	chunkDep []int32
 	forkJoin bool
 	pool     *sched.Pool
@@ -254,19 +244,11 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			s.pos[v] = int32(i)
 		}
 	}
-	if opt.CompressedSweep {
-		z, err := graph.NewPackedZ(s.downIn, s.order)
-		if err != nil {
-			return nil, fmt.Errorf("core: compressing sweep stream: %w", err)
-		}
-		s.packedz = z
-	} else {
-		p, err := graph.NewPacked(s.downIn, s.order)
-		if err != nil {
-			return nil, fmt.Errorf("core: packing sweep stream: %w", err)
-		}
-		s.packed = p
+	p, err := graph.NewPacked(s.downIn, s.order)
+	if err != nil {
+		return nil, fmt.Errorf("core: packing sweep stream: %w", err)
 	}
+	s.packed = p
 	// Chunk boundaries: a positive ParallelGrain pins the historical
 	// fixed position grain; otherwise chunks are cut so each one's
 	// stream span fits the cache byte budget (Options.ChunkBytes, or
@@ -282,11 +264,7 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			}
 			budget = b
 		}
-		if s.packedz != nil {
-			s.chunkStart = s.packedz.ChunkStartsByBytes(budget)
-		} else {
-			s.chunkStart = s.packed.ChunkStartsByBytes(budget)
-		}
+		s.chunkStart = s.packed.ChunkStartsByBytes(budget)
 	}
 	s.numChunks = int32(len(s.chunkStart) - 1)
 	s.grain = int32((n + int(s.numChunks) - 1) / int(s.numChunks))
@@ -295,14 +273,8 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 	}
 	// Precompute the per-chunk dependency bounds the persistent
 	// scheduler starts chunks by (scheduler.go), walking the same
-	// bytes/words the workers will read.
-	var dep []int32
-	var err error
-	if s.packedz != nil {
-		dep, err = s.packedz.ChunkDepBoundsAt(s.chunkStart)
-	} else {
-		dep, err = s.packed.ChunkDepBoundsAt(s.pos, s.chunkStart)
-	}
+	// words the workers will read.
+	dep, err := s.packed.ChunkDepBoundsAt(s.pos, s.chunkStart)
 	if err != nil {
 		return nil, fmt.Errorf("core: chunk dependency bounds: %w", err)
 	}
@@ -378,25 +350,11 @@ func NewEngineSharingPool(e *Engine, h *ch.Hierarchy) (*Engine, error) {
 	if !s.downIn.SameStructure(old.downIn) {
 		return nil, fmt.Errorf("core: sibling hierarchy's downward graph does not match the engine's topology")
 	}
-	if old.packed != nil {
-		p, err := old.packed.WithWeights(s.downIn)
-		if err != nil {
-			return nil, fmt.Errorf("core: patching packed sweep stream: %w", err)
-		}
-		s.packed = p
+	p, err := old.packed.WithWeights(s.downIn)
+	if err != nil {
+		return nil, fmt.Errorf("core: patching packed sweep stream: %w", err)
 	}
-	if old.packedz != nil {
-		// Re-encode the weights into the compressed stream; structure
-		// (deltas, degrees, order) is carried over, not re-derived. The
-		// shared chunk boundaries and dependency bounds are position-
-		// space, so they stay exact even though the new metric may shift
-		// per-block widths and with them the stream's byte spans.
-		z, err := old.packedz.WithWeights(s.downIn)
-		if err != nil {
-			return nil, fmt.Errorf("core: re-encoding compressed sweep stream: %w", err)
-		}
-		s.packedz = z
-	}
+	s.packed = p
 	old.pool.Retain()
 	s.pool = old.pool
 	runtime.SetFinalizer(s, func(s *shared) { s.pool.Release() })
@@ -438,48 +396,13 @@ func (e *Engine) OrigID(v int32) int32 { return e.s.toOrig[v] }
 // shared; callers must not modify it.
 func (e *Engine) LevelRanges() [][2]int32 { return e.s.levelRanges }
 
-// Packed returns the fused single-stream sweep layout the engine scans,
-// or nil when the engine sweeps the compressed stream.
+// Packed returns the fused single-stream sweep layout the engine scans.
 func (e *Engine) Packed() *graph.Packed { return e.s.packed }
 
-// PackedZ returns the compressed sweep stream the engine scans, or nil
-// when the engine was not built with CompressedSweep.
-func (e *Engine) PackedZ() *graph.PackedZ { return e.s.packedz }
-
 // StreamBytes returns the bytes of sweep stream one tree scans front to
-// back: the compressed stream's byte length or the packed stream's
-// words in bytes. This is the graph term of the achieved-GB/s
-// accounting and the quantity the compression ratio compares.
-func (e *Engine) StreamBytes() int64 {
-	if e.s.packedz != nil {
-		return int64(e.s.packedz.ByteLen())
-	}
-	return int64(e.s.packed.Words()) * 4
-}
-
-// StreamShapeHistogram returns blocks per compressed header shape
-// (graph.PackedZ.ShapeHistogram), or nil when the engine runs no
-// compressed stream. benchsmoke records it next to the stream gate so
-// a ratio regression can be read against the shape mix that produced
-// it — the decode-once kernels specialize the four narrow shapes, so a
-// stream that drifts toward the generic ones decodes slower at the
-// same byte count.
-func (e *Engine) StreamShapeHistogram() map[string]int {
-	if e.s.packedz == nil {
-		return nil
-	}
-	return e.s.packedz.ShapeHistogram()
-}
-
-// CompressionRatio returns the fraction of the equivalent uncompressed
-// packed stream the engine's sweep actually reads: < 1 for compressed
-// engines, exactly 1 otherwise.
-func (e *Engine) CompressionRatio() float64 {
-	if e.s.packedz != nil {
-		return e.s.packedz.CompressionRatio()
-	}
-	return 1
-}
+// back: the packed stream's words in bytes. This is the graph term of
+// the achieved-GB/s accounting.
+func (e *Engine) StreamBytes() int64 { return int64(e.s.packed.Words()) * 4 }
 
 // SweepBytes returns the modeled bytes one k-tree sweep on this engine
 // touches (bandwidth.SweepTraffic over the engine's actual layout).

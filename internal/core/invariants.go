@@ -34,15 +34,8 @@ func (e *Engine) CheckInvariants() error {
 			return err
 		}
 	}
-	if s.packed != nil {
-		if err := invariant.PackedStream(s.packed, s.downIn, s.order); err != nil {
-			return err
-		}
-	}
-	if s.packedz != nil {
-		if err := invariant.PackedZStream(s.packedz, s.downIn, s.order); err != nil {
-			return err
-		}
+	if err := invariant.PackedStream(s.packed, s.downIn, s.order); err != nil {
+		return err
 	}
 	if s.chunkDep != nil {
 		if err := invariant.ChunkDepsAt(s.downIn, s.order, s.chunkStart, s.chunkDep); err != nil {

@@ -17,26 +17,22 @@ func TestEngineCheckInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := gridGraph(rng, 9, 8, 25)
 	for _, mode := range []SweepMode{SweepReordered, SweepLevelOrder, SweepRankOrder} {
-		for _, compressed := range []bool{false, true} {
-			e := newEngine(t, g, Options{Mode: mode, CompressedSweep: compressed})
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("mode %v compressed=%v: fresh engine: %v", mode, compressed, err)
-			}
-			e.Tree(3)
-			e.MultiTree([]int32{0, 5, 9, 14}, true)
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("mode %v compressed=%v: after sweeps: %v", mode, compressed, err)
-			}
+		e := newEngine(t, g, Options{Mode: mode})
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("mode %v: fresh engine: %v", mode, err)
+		}
+		e.Tree(3)
+		e.MultiTree([]int32{0, 5, 9, 14}, true)
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("mode %v: after sweeps: %v", mode, err)
 		}
 	}
 	// Variable cache-budget chunk boundaries (a tiny explicit budget
 	// forces many uneven chunks) must validate through ChunkDepsAt too.
-	for _, compressed := range []bool{false, true} {
-		e := newEngine(t, g, Options{Workers: 2, ChunkBytes: 64, CompressedSweep: compressed})
-		e.TreeParallel(3)
-		if err := e.CheckInvariants(); err != nil {
-			t.Fatalf("byte-budget chunking compressed=%v: %v", compressed, err)
-		}
+	e := newEngine(t, g, Options{Workers: 2, ChunkBytes: 64})
+	e.TreeParallel(3)
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("byte-budget chunking: %v", err)
 	}
 }
 

@@ -45,13 +45,14 @@ func (e *Engine) multiTree(sources []int32, parallel bool) {
 	e.kdist = e.kdist[:k*s.n]
 	e.k = k
 	e.lastMulti = true
+	e.hasParents = false // the upward searches below move e.src
 	if k == 1 {
 		// kdist stands in for dist for one single-tree search and sweep;
 		// the swap back leaves dist's last labels in place (unreadable
 		// while lastMulti holds).
 		e.dist, e.kdist = e.kdist, e.dist
 		e.chSearch(sources[0], nil)
-		e.sweep(s.kind(packedSingle), 1, parallel)
+		e.sweep(packedSingle, 1, parallel)
 		e.dist, e.kdist = e.kdist, e.dist
 		return
 	}
@@ -59,7 +60,7 @@ func (e *Engine) multiTree(sources []int32, parallel bool) {
 	for i, src := range sources {
 		e.chSearchLane(src, i, k)
 	}
-	e.sweep(s.kind(packedMulti), k, parallel)
+	e.sweep(packedMulti, k, parallel)
 }
 
 // K returns the tree count of the last MultiTree call.

@@ -10,23 +10,20 @@ import (
 	"phast/internal/sssp"
 )
 
-// TestCompressedMultiTreeMatchesAll is the differential suite of the
-// register-resident multi-tree relax (multi_relax.go) that packed and
-// compressed engines share. For every k in the list — the 4-, 2- and
-// 1-lane groups and their combinations, k=1's single-tree route, and
-// batches past the server's 16 — both stream engines must agree
-// label-for-label with Dijkstra and with the Section III reference
+// TestMultiTreeMatchesAll is the differential suite of the
+// register-resident multi-tree relax (multi_relax.go). For every k in
+// the list — the 4-, 2- and 1-lane groups and their combinations, k=1's
+// single-tree route, and batches past the server's 16 — the engine must
+// agree label-for-label with Dijkstra and with the Section III reference
 // sweep (referenceTree): sequentially and on the pooled scheduler, in
-// every sweep mode. Level and rank order carry explicit vertex words,
-// so the compressed kernel's head remap runs there.
-func TestCompressedMultiTreeMatchesAll(t *testing.T) {
+// every sweep mode. Level and rank order carry explicit vertex words.
+func TestMultiTreeMatchesAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			checkMultiTreeMatchesAll(t, rng, gridGraph(rng, 20, 15, 30), mode, true)
-			// A hub whose block is deeper than the staging buffer, so
-			// the compressed kernel relaxes it in several tiles.
-			checkMultiTreeMatchesAll(t, rng, hubGraph(rng, zTile+6), mode, false)
+			// A deep downward block: the far hub's 70 in-arcs (hubGraph).
+			checkMultiTreeMatchesAll(t, rng, hubGraph(rng, 70), mode, false)
 		})
 	}
 }
@@ -38,15 +35,6 @@ func checkMultiTreeMatchesAll(t *testing.T, rng *rand.Rand, g *graph.Graph, mode
 	t.Helper()
 	n := g.NumVertices()
 	h := ch.Build(g, ch.Options{Workers: 1})
-	if !overlap {
-		maxDeg := 0
-		for v := int32(0); v < int32(n); v++ {
-			maxDeg = max(maxDeg, h.DownIn.OutDegree(v))
-		}
-		if maxDeg <= zTile {
-			t.Fatalf("deepest downward block has %d arcs, want more than zTile=%d", maxDeg, zTile)
-		}
-	}
 	want := make([][]uint32, n)
 	ref := make([][]uint32, n)
 	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
@@ -59,37 +47,30 @@ func checkMultiTreeMatchesAll(t *testing.T, rng *rand.Rand, g *graph.Graph, mode
 		ref[s] = referenceTree(h, int32(s))
 	}
 	for _, workers := range []int{1, 4} {
-		pk, z := enginePair(t, g, mode, workers)
+		e := packedEngine(t, g, mode, workers)
 		if workers > 1 && overlap {
-			requireOverlappingChunks(t, z)
-			requireOverlappingChunks(t, pk)
+			requireOverlappingChunks(t, e)
 		}
 		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32} {
 			sources := make([]int32, k)
 			for i := range sources {
 				sources[i] = int32(rng.Intn(n))
 			}
-			for _, e := range []*Engine{z, pk} {
-				name := "packed"
-				if e == z {
-					name = "compressed"
+			before := e.SchedStats().Sweeps
+			if workers > 1 {
+				e.MultiTreeParallel(sources, false)
+				if e.SchedStats().Sweeps == before {
+					t.Fatalf("k=%d: pooled sweep did not run on the scheduler", k)
 				}
-				before := e.SchedStats().Sweeps
-				if workers > 1 {
-					e.MultiTreeParallel(sources, false)
-					if e.SchedStats().Sweeps == before {
-						t.Fatalf("%s k=%d: pooled sweep did not run on the scheduler", name, k)
-					}
-				} else {
-					e.MultiTree(sources, false)
-				}
-				for i, s := range sources {
-					for v := int32(0); v < int32(n); v++ {
-						got := e.MultiDist(i, v)
-						if got != want[s][v] || got != ref[s][v] {
-							t.Fatalf("n=%d %s workers %d k=%d lane %d src %d: dist(%d)=%d, Dijkstra %d, reference %d",
-								n, name, workers, k, i, s, v, got, want[s][v], ref[s][v])
-						}
+			} else {
+				e.MultiTree(sources, false)
+			}
+			for i, s := range sources {
+				for v := int32(0); v < int32(n); v++ {
+					got := e.MultiDist(i, v)
+					if got != want[s][v] || got != ref[s][v] {
+						t.Fatalf("n=%d workers %d k=%d lane %d src %d: dist(%d)=%d, Dijkstra %d, reference %d",
+							n, workers, k, i, s, v, got, want[s][v], ref[s][v])
 					}
 				}
 			}

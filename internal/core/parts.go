@@ -13,7 +13,7 @@ import (
 // EngineParts is the engine's shared, source-independent state in
 // transportable form: everything NewEngine derives from a hierarchy —
 // the relabeled hierarchy itself, ID mappings, sweep order, level
-// ranges, the packed or compressed stream, and the chunk schedule with
+// ranges, the packed stream, and the chunk schedule with
 // its precomputed dependency bounds. Parts exposes a live engine's
 // state for serialization; NewEngineFromParts rebuilds an engine around
 // it without re-deriving anything, which is what makes an mmap'd
@@ -39,9 +39,8 @@ type EngineParts struct {
 	// LevelRanges are the sweep-position ranges of each level, nil in
 	// SweepRankOrder mode.
 	LevelRanges [][2]int32
-	// Packed/PackedZ is the sweep stream; exactly one is non-nil.
-	Packed  *graph.Packed
-	PackedZ *graph.PackedZ
+	// Packed is the sweep stream; it must be non-nil.
+	Packed *graph.Packed
 	// ChunkStart/ChunkDep are the scheduler's chunk boundaries (sweep
 	// positions, len NumChunks+1) and per-chunk dependency chunks.
 	ChunkStart []int32
@@ -77,7 +76,6 @@ func (e *Engine) Parts() EngineParts {
 		Pos:         s.pos,
 		LevelRanges: s.levelRanges,
 		Packed:      s.packed,
-		PackedZ:     s.packedz,
 		ChunkStart:  s.chunkStart,
 		ChunkDep:    s.chunkDep,
 		ForkJoin:    s.forkJoin,
@@ -86,7 +84,7 @@ func (e *Engine) Parts() EngineParts {
 
 // NewEngineFromParts rebuilds an engine around previously derived parts
 // — the load half of a snapshot. Nothing is recomputed or copied: the
-// hierarchy, streams, and chunk schedule are adopted as given after a
+// hierarchy, stream, and chunk schedule are adopted as given after a
 // consistency pass (permutations, chunk boundary shape, stream dims),
 // and a fresh worker pool is parked exactly as NewEngine would.
 // workers <= 0 selects GOMAXPROCS. info ties the restored engine to its
@@ -133,22 +131,14 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 			return nil, fmt.Errorf("core: parts level ranges cover %d of %d positions", at, n)
 		}
 	}
-	if (p.Packed == nil) == (p.PackedZ == nil) {
-		return nil, fmt.Errorf("core: parts must carry exactly one sweep stream (packed %v, compressed %v)", p.Packed != nil, p.PackedZ != nil)
+	if p.Packed == nil {
+		return nil, fmt.Errorf("core: parts carry no sweep stream")
 	}
 	m := p.H.DownIn.NumArcs()
 	explicit := p.Order != nil
-	if p.Packed != nil {
-		if p.Packed.NumVertices() != n || p.Packed.NumArcs() != m || p.Packed.ExplicitVertex() != explicit {
-			return nil, fmt.Errorf("core: packed stream dims %d/%d/explicit=%v do not match hierarchy %d/%d/explicit=%v",
-				p.Packed.NumVertices(), p.Packed.NumArcs(), p.Packed.ExplicitVertex(), n, m, explicit)
-		}
-	}
-	if p.PackedZ != nil {
-		if p.PackedZ.NumVertices() != n || p.PackedZ.NumArcs() != m || p.PackedZ.ExplicitVertex() != explicit {
-			return nil, fmt.Errorf("core: compressed stream dims %d/%d/explicit=%v do not match hierarchy %d/%d/explicit=%v",
-				p.PackedZ.NumVertices(), p.PackedZ.NumArcs(), p.PackedZ.ExplicitVertex(), n, m, explicit)
-		}
+	if p.Packed.NumVertices() != n || p.Packed.NumArcs() != m || p.Packed.ExplicitVertex() != explicit {
+		return nil, fmt.Errorf("core: packed stream dims %d/%d/explicit=%v do not match hierarchy %d/%d/explicit=%v",
+			p.Packed.NumVertices(), p.Packed.NumArcs(), p.Packed.ExplicitVertex(), n, m, explicit)
 	}
 	if err := graph.ValidChunkStarts(p.ChunkStart, n); err != nil {
 		return nil, fmt.Errorf("core: parts chunk starts: %w", err)
@@ -177,7 +167,6 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 		toEngine:      p.ToEngine,
 		toOrig:        p.ToOrig,
 		packed:        p.Packed,
-		packedz:       p.PackedZ,
 		pos:           p.Pos,
 		chunkStart:    p.ChunkStart,
 		grain:         grain,

@@ -15,40 +15,25 @@ import (
 // The scheduling design is documented in internal/sched: chunks of
 // sweep positions claimed in order through an atomic cursor, started
 // once the monotone completion frontier passes their precomputed
-// dependency bound (graph.ChunkDepBounds), with the done-flag store +
-// frontier CAS providing the happens-before edge between a chunk's
-// label writes and its dependents' reads.
+// dependency bound ((*graph.Packed).ChunkDepBoundsAt), with the
+// done-flag store + frontier CAS providing the happens-before edge
+// between a chunk's label writes and its dependents' reads.
 
-// sweepKind names one kernel: a tree family (single, parents, multi)
-// over one stream (packed, compressed). Each kind has one chunk kernel,
-// which the sequential sweep runs over [0,n) and the scheduler's
-// workers run per chunk; the compressed single-tree kind adds an
-// identity-order specialization of it (scanChunkKind).
+// sweepKind names one kernel, one per tree family: single tree,
+// single tree with G+ parents, and k trees. Each kind has one chunk
+// kernel, which the sequential sweep runs over [0,n) and the
+// scheduler's workers run per chunk (scanChunkKind).
 type sweepKind int
 
 const (
 	packedSingle sweepKind = iota
 	packedParents
 	packedMulti
-	packedZSingle
-	packedZParents
-	packedZMulti
 )
-
-// kind maps a packed family to the engine's stream: the same family's
-// compressed kind when the engine carries the compressed stream.
-func (s *shared) kind(packed sweepKind) sweepKind {
-	if s.packedz != nil {
-		return packed - packedSingle + packedZSingle
-	}
-	return packed
-}
 
 // multiKind reports whether the kind sweeps k trees (its level-size
 // threshold under the fork-join oracle scales with k).
-func (k sweepKind) multiKind() bool {
-	return k == packedMulti || k == packedZMulti
-}
+func (k sweepKind) multiKind() bool { return k == packedMulti }
 
 // SchedStats is a snapshot of the persistent scheduler's counters,
 // accumulated across every engine clone (and every customized sibling
@@ -145,9 +130,7 @@ func (e *Engine) SchedPool() *sched.Pool { return e.s.pool }
 
 // scanChunkKind runs the kernel of kind over sweep positions [lo,hi).
 // Shared by the sequential sweep ([0,n)), the pooled scheduler (per
-// chunk) and the fork-join oracle (per level slice). The compressed
-// single-tree kind picks its kernel from the stream: the identity-order
-// specialization when the stream carries no vertex words.
+// chunk) and the fork-join oracle (per level slice).
 //
 //phast:hotpath
 func (e *Engine) scanChunkKind(kind sweepKind, k int, lo, hi int32) {
@@ -158,15 +141,5 @@ func (e *Engine) scanChunkKind(kind sweepKind, k int, lo, hi int32) {
 		e.scanPackedParentsChunk(lo, hi)
 	case packedMulti:
 		e.scanPackedMultiChunk(lo, hi, k)
-	case packedZSingle:
-		if e.s.packedz.ExplicitVertex() {
-			e.scanPackedZChunk(lo, hi)
-		} else {
-			e.scanPackedZIdentChunk(lo, hi)
-		}
-	case packedZParents:
-		e.scanPackedZParentsChunk(lo, hi)
-	case packedZMulti:
-		e.scanPackedZMultiChunk(lo, hi, k)
 	}
 }

@@ -13,109 +13,106 @@ import (
 // Differential suite for the persistent sweep scheduler: every kernel
 // family must produce the same labels pooled as under the fork-join
 // oracle, sequentially, in the Section III reference sweep and in
-// Dijkstra — across all three sweep modes, both sweep streams, and
-// k ∈ {1, 4, 16}.
+// Dijkstra — across all three sweep modes and k ∈ {1, 4, 16}.
 
 func TestPooledSweepDifferential(t *testing.T) {
 	h, n := raceHierarchy(t)
 	rng := rand.New(rand.NewSource(71))
 	for _, mode := range allModes {
-		for _, compressed := range []bool{false, true} {
-			opt := Options{Mode: mode, Workers: 4, CompressedSweep: compressed, ParallelGrain: 512}
-			pooled, err := NewEngine(h, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fjOpt := opt
-			fjOpt.ForkJoinSweep = true
-			fj, err := NewEngine(h, fjOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := NewEngine(h, Options{Mode: mode, Workers: 1, CompressedSweep: compressed})
-			if err != nil {
-				t.Fatal(err)
-			}
+		opt := Options{Mode: mode, Workers: 4, ParallelGrain: 512}
+		pooled, err := NewEngine(h, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fjOpt := opt
+		fjOpt.ForkJoinSweep = true
+		fj, err := NewEngine(h, fjOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := NewEngine(h, Options{Mode: mode, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Single tree, against every oracle.
-			s := int32(rng.Intn(n))
-			pooled.TreeParallel(s)
-			fj.TreeParallel(s)
-			seq.Tree(s)
-			raceFixture.d.Run(s)
-			ref := referenceDist(seq, s)
-			for v := int32(0); v < int32(n); v += 7 {
-				want := raceFixture.d.Dist(v)
-				if ref[v] != want {
-					t.Fatalf("mode=%v: reference dist(%d)=%d, Dijkstra %d", mode, v, ref[v], want)
-				}
-				if got := pooled.Dist(v); got != want {
-					t.Fatalf("mode=%v compressed=%v: pooled dist(%d)=%d, Dijkstra %d", mode, compressed, v, got, want)
-				}
-				if got := fj.Dist(v); got != want {
-					t.Fatalf("mode=%v compressed=%v: fork-join dist(%d)=%d, Dijkstra %d", mode, compressed, v, got, want)
-				}
-				if got := seq.Dist(v); got != want {
-					t.Fatalf("mode=%v compressed=%v: sequential dist(%d)=%d, Dijkstra %d", mode, compressed, v, got, want)
-				}
+		// Single tree, against every oracle.
+		s := int32(rng.Intn(n))
+		pooled.TreeParallel(s)
+		fj.TreeParallel(s)
+		seq.Tree(s)
+		raceFixture.d.Run(s)
+		ref := referenceDist(seq, s)
+		for v := int32(0); v < int32(n); v += 7 {
+			want := raceFixture.d.Dist(v)
+			if ref[v] != want {
+				t.Fatalf("mode=%v: reference dist(%d)=%d, Dijkstra %d", mode, v, ref[v], want)
 			}
+			if got := pooled.Dist(v); got != want {
+				t.Fatalf("mode=%v: pooled dist(%d)=%d, Dijkstra %d", mode, v, got, want)
+			}
+			if got := fj.Dist(v); got != want {
+				t.Fatalf("mode=%v: fork-join dist(%d)=%d, Dijkstra %d", mode, v, got, want)
+			}
+			if got := seq.Dist(v); got != want {
+				t.Fatalf("mode=%v: sequential dist(%d)=%d, Dijkstra %d", mode, v, got, want)
+			}
+		}
 
-			// Parents: distances must match, and every parallel-computed
-			// path must be tight (its arc weights sum to the label).
-			s2 := int32(rng.Intn(n))
-			pooled.TreeWithParentsParallel(s2)
-			fj.TreeWithParentsParallel(s2)
-			seq.TreeWithParents(s2)
-			g := h.G
-			for i := 0; i < 25; i++ {
-				v := int32(rng.Intn(n))
-				want := seq.Dist(v)
-				if got := pooled.Dist(v); got != want {
-					t.Fatalf("mode=%v compressed=%v parents: pooled dist(%d)=%d, want %d", mode, compressed, v, got, want)
+		// Parents: distances must match, and every parallel-computed
+		// path must be tight (its arc weights sum to the label).
+		s2 := int32(rng.Intn(n))
+		pooled.TreeWithParentsParallel(s2)
+		fj.TreeWithParentsParallel(s2)
+		seq.TreeWithParents(s2)
+		g := h.G
+		for i := 0; i < 25; i++ {
+			v := int32(rng.Intn(n))
+			want := seq.Dist(v)
+			if got := pooled.Dist(v); got != want {
+				t.Fatalf("mode=%v parents: pooled dist(%d)=%d, want %d", mode, v, got, want)
+			}
+			if got := fj.Dist(v); got != want {
+				t.Fatalf("mode=%v parents: fork-join dist(%d)=%d, want %d", mode, v, got, want)
+			}
+			path := pooled.PathTo(v)
+			if path == nil {
+				if want != graph.Inf {
+					t.Fatalf("mode=%v: no path to reachable %d", mode, v)
 				}
-				if got := fj.Dist(v); got != want {
-					t.Fatalf("mode=%v compressed=%v parents: fork-join dist(%d)=%d, want %d", mode, compressed, v, got, want)
+				continue
+			}
+			var sum uint32
+			for j := 1; j < len(path); j++ {
+				w, ok := g.FindArc(path[j-1], path[j])
+				if !ok {
+					t.Fatalf("mode=%v: path step %d→%d is not an arc", mode, path[j-1], path[j])
 				}
-				path := pooled.PathTo(v)
-				if path == nil {
-					if want != graph.Inf {
-						t.Fatalf("mode=%v compressed=%v: no path to reachable %d", mode, compressed, v)
+				sum += w
+			}
+			if sum != want {
+				t.Fatalf("mode=%v: path to %d weighs %d, dist %d", mode, v, sum, want)
+			}
+		}
+
+		// Multi-tree.
+		for _, k := range []int{1, 4, 16} {
+			sources := make([]int32, k)
+			for i := range sources {
+				sources[i] = int32(rng.Intn(n))
+			}
+			pooled.MultiTreeParallel(sources, false)
+			fj.MultiTreeParallel(sources, false)
+			seq.MultiTree(sources, false)
+			for i := range sources {
+				for v := int32(0); v < int32(n); v += 13 {
+					want := seq.MultiDist(i, v)
+					if got := pooled.MultiDist(i, v); got != want {
+						t.Fatalf("mode=%v k=%d lane %d: pooled dist(%d)=%d, want %d",
+							mode, k, i, v, got, want)
 					}
-					continue
-				}
-				var sum uint32
-				for j := 1; j < len(path); j++ {
-					w, ok := g.FindArc(path[j-1], path[j])
-					if !ok {
-						t.Fatalf("mode=%v compressed=%v: path step %d→%d is not an arc", mode, compressed, path[j-1], path[j])
-					}
-					sum += w
-				}
-				if sum != want {
-					t.Fatalf("mode=%v compressed=%v: path to %d weighs %d, dist %d", mode, compressed, v, sum, want)
-				}
-			}
-
-			// Multi-tree.
-			for _, k := range []int{1, 4, 16} {
-				sources := make([]int32, k)
-				for i := range sources {
-					sources[i] = int32(rng.Intn(n))
-				}
-				pooled.MultiTreeParallel(sources, false)
-				fj.MultiTreeParallel(sources, false)
-				seq.MultiTree(sources, false)
-				for i := range sources {
-					for v := int32(0); v < int32(n); v += 13 {
-						want := seq.MultiDist(i, v)
-						if got := pooled.MultiDist(i, v); got != want {
-							t.Fatalf("mode=%v compressed=%v k=%d lane %d: pooled dist(%d)=%d, want %d",
-								mode, compressed, k, i, v, got, want)
-						}
-						if got := fj.MultiDist(i, v); got != want {
-							t.Fatalf("mode=%v compressed=%v k=%d lane %d: fork-join dist(%d)=%d, want %d",
-								mode, compressed, k, i, v, got, want)
-						}
+					if got := fj.MultiDist(i, v); got != want {
+						t.Fatalf("mode=%v k=%d lane %d: fork-join dist(%d)=%d, want %d",
+							mode, k, i, v, got, want)
 					}
 				}
 			}

@@ -18,7 +18,7 @@ func (e *Engine) tree(source int32, parallel bool) {
 	e.hasParents = false
 	e.lastMulti = false
 	e.chSearch(source, nil)
-	e.sweep(e.s.kind(packedSingle), 1, parallel)
+	e.sweep(packedSingle, 1, parallel)
 }
 
 // TreeWithParents is Tree but additionally records, for every vertex,
@@ -37,7 +37,7 @@ func (e *Engine) treeWithParents(source int32, parallel bool) {
 	e.hasParents = true
 	e.lastMulti = false
 	e.chSearch(source, e.parent)
-	e.sweep(e.s.kind(packedParents), 1, parallel)
+	e.sweep(packedParents, 1, parallel)
 }
 
 // sweep is PHAST's second phase for every tree family: the upward
@@ -153,7 +153,11 @@ func (e *Engine) RawParents() []int32 { return e.parent }
 // d(v) = d(u) + l(u,v). All arc lengths must be strictly positive, else
 // zero-weight cycles could produce parent cycles. buf must have length n
 // and is indexed by original vertex ID; entries are original IDs or -1.
+// Like Dist, it panics when the last computation was a MultiTree.
 func (e *Engine) GTreeParents(buf []int32) {
+	if e.lastMulti {
+		panic("core: last computation was MultiTree; GTreeParents needs a single tree")
+	}
 	if len(buf) != e.s.n {
 		panic("core: GTreeParents buffer has wrong length")
 	}

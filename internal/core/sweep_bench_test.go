@@ -7,9 +7,8 @@ import (
 	"phast/internal/ch"
 )
 
-// Sweep-kernel microbenchmarks: phase 2 only, no upward search in the
-// timed region, so the packed and compressed streams are compared on
-// exactly the kernels that read them.
+// Sweep-kernel microbenchmark: phase 2 only, no upward search in the
+// timed region, so it times exactly the kernel that reads the stream.
 
 var sweepBench struct {
 	h *ch.Hierarchy
@@ -26,13 +25,12 @@ func sweepHierarchy(b *testing.B) (*ch.Hierarchy, int) {
 	return sweepBench.h, sweepBench.n
 }
 
-func benchSweepKernel(b *testing.B, compressed bool) {
+func BenchmarkSweepKernelPacked(b *testing.B) {
 	h, n := sweepHierarchy(b)
-	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1, CompressedSweep: compressed})
+	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	kind := e.s.kind(packedSingle)
 	src := int32(n / 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,12 +38,6 @@ func benchSweepKernel(b *testing.B, compressed bool) {
 		e.chSearch(src, nil)
 		e.buildSeeds()
 		b.StartTimer()
-		e.scanChunkKind(kind, 1, 0, int32(n))
+		e.scanPackedChunk(0, int32(n))
 	}
 }
-
-func BenchmarkSweepKernelPacked(b *testing.B) { benchSweepKernel(b, false) }
-
-// BenchmarkSweepKernelCompressed times the compressed decode kernel on
-// the same fixture, isolating decode cost from the upward search.
-func BenchmarkSweepKernelCompressed(b *testing.B) { benchSweepKernel(b, true) }

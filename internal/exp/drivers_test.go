@@ -114,46 +114,3 @@ func TestRPHASTSelectionGrowsWithTargets(t *testing.T) {
 		prev = sel
 	}
 }
-
-func TestStreamCompressedRowReadsFewerBytes(t *testing.T) {
-	e := tinyEnv(t)
-	tables, err := Stream(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if len(rows) != 2 || rows[0][0] != "packed" || rows[1][0] != "compressed" {
-		t.Fatalf("unexpected rows %v", rows)
-	}
-	packed, err1 := strconv.Atoi(rows[0][3])
-	compressed, err2 := strconv.Atoi(rows[1][3])
-	if err1 != nil || err2 != nil {
-		t.Fatalf("non-numeric stream bytes %q %q", rows[0][3], rows[1][3])
-	}
-	if compressed >= packed {
-		t.Fatalf("compressed stream %d bytes is not smaller than packed %d", compressed, packed)
-	}
-	ratio, err := strconv.ParseFloat(rows[1][5], 64)
-	if err != nil || ratio <= 0 || ratio >= 1 {
-		t.Fatalf("compressed ratio %q not in (0,1)", rows[1][5])
-	}
-	if rows[0][5] != "1.000" {
-		t.Fatalf("packed ratio %q, want 1.000", rows[0][5])
-	}
-	if len(tables) != 2 || tables[1].ID != "stream-ksweep" {
-		t.Fatalf("missing k-sweep table, got %d tables", len(tables))
-	}
-	krows := tables[1].Rows
-	wantK := []string{"1", "2", "4", "8", "16"}
-	if len(krows) != len(wantK) {
-		t.Fatalf("k-sweep has %d rows, want %d", len(krows), len(wantK))
-	}
-	for i, r := range krows {
-		if r[0] != wantK[i] {
-			t.Fatalf("k-sweep row %d is k=%q, want %q", i, r[0], wantK[i])
-		}
-		if ratio, err := strconv.ParseFloat(r[3], 64); err != nil || ratio <= 0 {
-			t.Fatalf("k=%s: non-positive ratio %q", r[0], r[3])
-		}
-	}
-}

@@ -148,7 +148,6 @@ func Suite() []Runner {
 		{"chbuild", "parallel batched CH preprocessing scaling (Sec. VIII-A)", ChBuild},
 		{"sched", "persistent chunk scheduler vs fork-join vs sequential sweep", Sched},
 		{"customize", "metric customization: triangle relaxation vs full rebuild", Customize},
-		{"stream", "compressed vs packed sweep stream: bytes and time per tree", Stream},
 		{"snapshot", "zero-copy snapshot cold start vs rebuild", Snapshot},
 	}
 }

@@ -15,18 +15,12 @@ import (
 
 func testSetup(t *testing.T, maxK int) (*graph.Graph, *Engine) {
 	t.Helper()
-	return testSetupOpts(t, maxK, core.Options{})
-}
-
-// testSetupOpts is testSetup over a CPU engine built with opt.
-func testSetupOpts(t *testing.T, maxK int, opt core.Options) (*graph.Graph, *Engine) {
-	t.Helper()
 	net, err := roadnet.Generate(roadnet.Params{Width: 28, Height: 24, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := ch.Build(net.Graph, ch.Options{Workers: 1})
-	ce, err := core.NewEngine(h, opt)
+	ce, err := core.NewEngine(h, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,26 +43,6 @@ func TestTreeMatchesDijkstra(t *testing.T) {
 		for v := int32(0); v < n; v++ {
 			if got, want := e.Dist(0, v), d.Dist(v); got != want {
 				t.Fatalf("trial %d src %d: dist(%d)=%d, want %d", trial, s, v, got, want)
-			}
-		}
-	}
-}
-
-// TestCompressedEngineMatchesDijkstra uploads from a CPU engine that
-// sweeps the compressed stream: the device graph is staged from the
-// downward CSR either way, so trees must still match Dijkstra.
-func TestCompressedEngineMatchesDijkstra(t *testing.T) {
-	g, e := testSetupOpts(t, 4, core.Options{CompressedSweep: true})
-	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
-	rng := rand.New(rand.NewSource(3))
-	n := int32(g.NumVertices())
-	sources := []int32{int32(rng.Intn(int(n))), int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))}
-	e.MultiTree(sources)
-	for lane, s := range sources {
-		d.Run(s)
-		for v := int32(0); v < n; v++ {
-			if got, want := e.Dist(lane, v), d.Dist(v); got != want {
-				t.Fatalf("lane %d src %d: dist(%d)=%d, want %d", lane, s, v, got, want)
 			}
 		}
 	}

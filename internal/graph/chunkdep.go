@@ -6,70 +6,16 @@ import "fmt"
 // sweep scheduler relaxes the Section V level barrier with. The sweep
 // order is a reverse topological order of the downward graph (every arc
 // read at position p has its tail at some earlier position), so any
-// fixed-size chunk of positions [a,b) may start as soon as every
-// position < a that the chunk reads is final. The bound precomputed
-// here is exactly that horizon: the maximum sweep position among tails
-// of arcs entering the chunk from before its start. Dependencies within
+// chunk of positions [a,b) may start as soon as every position < a
+// that the chunk reads is final. The bound precomputed here is exactly
+// that horizon: the maximum sweep position among tails of arcs
+// entering the chunk from before its start. Dependencies within
 // the chunk need no bound — the in-order scan of the chunk satisfies
 // them, as in the sequential sweep.
-
-// ChunkDepBounds partitions the sweep positions of g (an incoming-arc
-// downward graph: Arcs(v) lists the arcs relaxed when v is scanned,
-// with Head naming the dependency tail) into chunks of grain positions
-// and returns, for each chunk c covering [c*grain, min((c+1)*grain, n)),
-// the maximum sweep position among tails of its incoming arcs that lie
-// before the chunk start, or -1 when the chunk depends on no earlier
-// position. order is the sweep order (order[p] = vertex scanned at
-// position p); nil means the identity scan.
 //
-// A tail position at or after the scanning position would contradict
-// the reverse-topological property of the sweep order; that is reported
-// as an error rather than silently folded into a bound.
-func ChunkDepBounds(g *Graph, order []int32, grain int) ([]int32, error) {
-	n := g.NumVertices()
-	if grain <= 0 {
-		return nil, fmt.Errorf("graph: chunk grain %d is not positive", grain)
-	}
-	if order != nil && len(order) != n {
-		return nil, fmt.Errorf("graph: chunk order has length %d, want %d", len(order), n)
-	}
-	var pos []int32 // vertex -> sweep position; nil = identity
-	if order != nil {
-		pos = make([]int32, n)
-		for p, v := range order {
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("graph: chunk order has vertex %d at position %d, want [0,%d)", v, p, n)
-			}
-			pos[v] = int32(p)
-		}
-	}
-	numChunks := (n + grain - 1) / grain
-	dep := make([]int32, numChunks)
-	for c := range dep {
-		dep[c] = -1
-	}
-	for p := 0; p < n; p++ {
-		v := int32(p)
-		if order != nil {
-			v = order[p]
-		}
-		c := p / grain
-		start := int32(c * grain)
-		for _, a := range g.Arcs(v) {
-			tp := a.Head
-			if pos != nil {
-				tp = pos[a.Head]
-			}
-			if int(tp) >= p {
-				return nil, fmt.Errorf("graph: sweep order is not topological: position %d reads tail at position %d", p, tp)
-			}
-			if tp < start && tp > dep[c] {
-				dep[c] = tp
-			}
-		}
-	}
-	return dep, nil
-}
+// The bounds are computed over the packed stream the scheduler's
+// workers read. The package's tests keep CSR flavors of the same
+// computation as brute-force oracles.
 
 // UniformChunkStarts returns the chunk boundary list (len numChunks+1,
 // first 0, last n) for fixed-size chunks of grain positions — the
@@ -92,82 +38,56 @@ func UniformChunkStarts(n, grain int) []int32 {
 	return starts
 }
 
-// ChunkStartsByBytes partitions the sweep positions of a CSR downward
-// graph into chunks whose scanned footprint is at most budget bytes,
-// estimating each position's traffic as one first[] word plus its
-// 8-byte arcs — the same accounting internal/bandwidth charges the
-// legacy sweep. order is the sweep order (nil = identity); at least one
-// position lands in every chunk.
-func ChunkStartsByBytes(g *Graph, order []int32, budget int) []int32 {
-	n := g.NumVertices()
-	offsets := make([]int, n+1)
-	for p := 0; p < n; p++ {
-		v := int32(p)
-		if order != nil {
-			v = order[p]
-		}
-		offsets[p+1] = offsets[p] + 4 + 8*len(g.Arcs(v))
+// ChunkStartsByBytes partitions the sweep positions into chunks whose
+// packed stream spans at most budget bytes each (always at least one
+// position per chunk, so a block larger than the budget gets a chunk
+// of its own). The boundaries are sweep positions — the unit the
+// scheduler's dependency bounds and in-order claims speak — sized by
+// bytes, which is what a cache-conscious grain wants: a chunk's stream
+// plus its label working set resident while it is scanned.
+func (p *Packed) ChunkStartsByBytes(budget int) []int32 {
+	// Convert the word offsets to bytes without materializing a copy:
+	// chunkStartsByOffsets only compares differences, so scale the
+	// budget down instead.
+	if budget < 4 {
+		budget = 4
 	}
-	return chunkStartsByOffsets(offsets, budget)
+	return chunkStartsByOffsets(p.blockStart, budget/4)
 }
 
-// ChunkDepBoundsAt is the variable-boundary flavor of ChunkDepBounds:
-// starts lists the chunk boundaries as sweep positions (len
-// numChunks+1, starts[0]=0, strictly ascending, ending at n), and the
-// result holds, per chunk, the maximum sweep position among tails of
-// arcs entering the chunk from before its start (-1: none).
-func ChunkDepBoundsAt(g *Graph, order []int32, starts []int32) ([]int32, error) {
-	n := g.NumVertices()
-	if err := validChunkStarts(starts, n); err != nil {
-		return nil, err
+// chunkStartsByOffsets greedily cuts [0,n) into chunks of at most
+// budget offset units, returning the boundary list of sweep positions
+// (first entry 0, last entry n).
+func chunkStartsByOffsets(blockStart []int, budget int) []int32 {
+	n := len(blockStart) - 1
+	if budget < 1 {
+		budget = 1
 	}
-	if order != nil && len(order) != n {
-		return nil, fmt.Errorf("graph: chunk order has length %d, want %d", len(order), n)
-	}
-	var pos []int32
-	if order != nil {
-		pos = make([]int32, n)
-		for p, v := range order {
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("graph: chunk order has vertex %d at position %d, want [0,%d)", v, p, n)
-			}
-			pos[v] = int32(p)
-		}
-	}
-	dep := make([]int32, len(starts)-1)
-	for c := range dep {
-		dep[c] = -1
-	}
-	c := 0
+	starts := []int32{0}
+	base := 0
 	for p := 0; p < n; p++ {
-		for int32(p) >= starts[c+1] {
-			c++
-		}
-		start := starts[c]
-		v := int32(p)
-		if order != nil {
-			v = order[p]
-		}
-		for _, a := range g.Arcs(v) {
-			tp := a.Head
-			if pos != nil {
-				tp = pos[a.Head]
-			}
-			if int(tp) >= p {
-				return nil, fmt.Errorf("graph: sweep order is not topological: position %d reads tail at position %d", p, tp)
-			}
-			if tp < start && tp > dep[c] {
-				dep[c] = tp
-			}
+		if p > int(starts[len(starts)-1]) && blockStart[p+1]-base > budget {
+			starts = append(starts, int32(p))
+			base = blockStart[p]
 		}
 	}
-	return dep, nil
+	return append(starts, int32(n))
 }
 
-// ChunkDepBoundsAt is the packed-stream, variable-boundary flavor: like
-// (*Packed).ChunkDepBounds but over an explicit chunk boundary list.
+// ChunkDepBoundsAt walks the packed stream and returns, for each chunk
+// of the boundary list starts (sweep positions, len numChunks+1,
+// starts[0]=0, strictly ascending, ending at n), the maximum sweep
+// position among tails of arcs entering the chunk from before its
+// start, or -1 when the chunk depends on no earlier position. pos maps
+// a vertex ID to its sweep position and must be non-nil exactly when
+// the stream carries explicit vertex words (non-identity orders); for
+// the identity layout a head's ID is its position.
+//
+// A tail position at or after the scanning position would contradict
+// the reverse-topological property of the sweep order; that is reported
+// as an error rather than silently folded into a bound.
 func (p *Packed) ChunkDepBoundsAt(pos []int32, starts []int32) ([]int32, error) {
-	if err := validChunkStarts(starts, p.n); err != nil {
+	if err := ValidChunkStarts(starts, p.n); err != nil {
 		return nil, err
 	}
 	if p.explicitV != (pos != nil) {
@@ -210,50 +130,17 @@ func (p *Packed) ChunkDepBoundsAt(pos []int32, starts []int32) ([]int32, error) 
 	return dep, nil
 }
 
-// ChunkDepBounds is the packed-stream flavor of the package-level
-// function: it walks the fused stream instead of the CSR arrays, so the
-// precompute reads the same words the scheduler's workers will. pos
-// maps a vertex ID to its sweep position and must be non-nil exactly
-// when the stream carries explicit vertex words (non-identity orders);
-// for the identity layout a head's ID is its position.
-func (p *Packed) ChunkDepBounds(pos []int32, grain int) ([]int32, error) {
-	if grain <= 0 {
-		return nil, fmt.Errorf("graph: chunk grain %d is not positive", grain)
+// ValidChunkStarts checks the shape of a chunk boundary list: at least
+// one chunk, starting at 0, strictly increasing, ending at n. Readers
+// that restore chunk geometry from storage check it before use.
+func ValidChunkStarts(starts []int32, n int) error {
+	if len(starts) < 2 || starts[0] != 0 || starts[len(starts)-1] != int32(n) {
+		return fmt.Errorf("graph: chunk starts must span [0,%d], got %d boundaries", n, len(starts))
 	}
-	if p.explicitV != (pos != nil) {
-		return nil, fmt.Errorf("graph: packed chunk bounds need a position map iff the stream has vertex words (explicit=%v, pos=%v)",
-			p.explicitV, pos != nil)
-	}
-	if pos != nil && len(pos) != p.n {
-		return nil, fmt.Errorf("graph: chunk position map has length %d, want %d", len(pos), p.n)
-	}
-	numChunks := (p.n + grain - 1) / grain
-	dep := make([]int32, numChunks)
-	for c := range dep {
-		dep[c] = -1
-	}
-	stream := p.stream
-	i := 0
-	for sp := 0; sp < p.n; sp++ {
-		deg := int(stream[i])
-		i++
-		if p.explicitV {
-			i++ // the vertex word; heads are what matters here
-		}
-		c := sp / grain
-		start := int32(c * grain)
-		for end := i + 2*deg; i < end; i += 2 {
-			tp := int32(stream[i])
-			if pos != nil {
-				tp = pos[stream[i]]
-			}
-			if int(tp) >= sp {
-				return nil, fmt.Errorf("graph: packed stream is not topological: position %d reads tail at position %d", sp, tp)
-			}
-			if tp < start && tp > dep[c] {
-				dep[c] = tp
-			}
+	for i := 1; i < len(starts); i++ {
+		if starts[i] <= starts[i-1] {
+			return fmt.Errorf("graph: chunk starts not strictly increasing at %d", i)
 		}
 	}
-	return dep, nil
+	return nil
 }

@@ -124,7 +124,7 @@ func TestChunkDepBoundsPackedAgrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromStream, err := p.ChunkDepBounds(pos, grain)
+			fromStream, err := p.ChunkDepBoundsAt(pos, UniformChunkStarts(n, grain))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestChunkDepBoundsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pf.ChunkDepBounds(nil, 2); err == nil {
+	if _, err := pf.ChunkDepBoundsAt(nil, UniformChunkStarts(4, 2)); err == nil {
 		t.Error("non-topological packed stream accepted")
 	}
 
@@ -178,13 +178,115 @@ func TestChunkDepBoundsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ChunkDepBounds(nil, 4); err == nil {
+	if _, err := p.ChunkDepBoundsAt(nil, UniformChunkStarts(10, 4)); err == nil {
 		t.Error("explicit-vertex stream accepted a nil position map")
 	}
-	if _, err := p.ChunkDepBounds(make([]int32, 5), 4); err == nil {
+	if _, err := p.ChunkDepBoundsAt(make([]int32, 5), UniformChunkStarts(10, 4)); err == nil {
 		t.Error("short position map accepted")
 	}
-	if _, err := p.ChunkDepBounds(make([]int32, 10), 0); err == nil {
-		t.Error("packed grain 0 accepted")
+	if _, err := p.ChunkDepBoundsAt(make([]int32, 10), []int32{0, 4, 4, 10}); err == nil {
+		t.Error("packed chunk starts with an empty chunk accepted")
+	}
+}
+
+func TestUniformChunkStartsMatchesFixedGrain(t *testing.T) {
+	// The variable-boundary representation of a fixed grain must
+	// reproduce ChunkDepBounds exactly.
+	rng := rand.New(rand.NewSource(19))
+	g := randomTopoGraph(rng, 300, 1200, nil)
+	for _, grain := range []int{1, 7, 64, 1024} {
+		want, err := ChunkDepBounds(g, nil, grain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts := UniformChunkStarts(300, grain)
+		if int(starts[len(starts)-1]) != 300 || len(starts)-1 != len(want) {
+			t.Fatalf("grain %d: %d chunks, want %d", grain, len(starts)-1, len(want))
+		}
+		got, err := ChunkDepBoundsAt(g, nil, starts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range want {
+			if got[c] != want[c] {
+				t.Fatalf("grain %d chunk %d: dep %d, want %d", grain, c, got[c], want[c])
+			}
+		}
+	}
+}
+
+// TestPackedChunkStartsByBytes checks the byte-budget chunking the
+// engine sizes its default schedule with: every chunk of more than one
+// position spans at most the budget in stream bytes, and an unbounded
+// budget yields one chunk.
+func TestPackedChunkStartsByBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := randomTopoGraph(rng, 500, 2000, nil)
+	p, err := NewPacked(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{1, 64, 256, 4096, 1 << 20} {
+		starts := p.ChunkStartsByBytes(budget)
+		if err := ValidChunkStarts(starts, p.NumVertices()); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		bs := p.BlockStarts()
+		for c := 0; c+1 < len(starts); c++ {
+			span := 4 * (bs[starts[c+1]] - bs[starts[c]])
+			if span > budget && starts[c+1]-starts[c] > 1 {
+				t.Fatalf("budget %d: chunk %d spans %d bytes over %d positions", budget, c, span, starts[c+1]-starts[c])
+			}
+		}
+	}
+	if starts := p.ChunkStartsByBytes(1 << 30); len(starts) != 2 {
+		t.Fatalf("unbounded budget produced %d chunks", len(starts)-1)
+	}
+}
+
+// TestPackedChunkDepBoundsAtMatchesCSR checks the engine's flavor of
+// the dependency bounds (packed stream, variable chunk boundaries)
+// against the CSR oracle, for the identity layout and for explicit
+// vertex words, under uniform, byte-budget and degenerate boundaries.
+func TestPackedChunkDepBoundsAtMatchesCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, explicit := range []bool{false, true} {
+		n := 200
+		var ord, pos []int32
+		if explicit {
+			ord = randomPerm(rng, n)
+			pos = make([]int32, n)
+			for p, v := range ord {
+				pos[v] = int32(p)
+			}
+		}
+		g := randomTopoGraph(rng, n, 800, ord)
+		pk, err := NewPacked(g, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, starts := range [][]int32{
+			UniformChunkStarts(n, 32),
+			UniformChunkStarts(n, 7),
+			pk.ChunkStartsByBytes(300),
+			{0, 1, int32(n)},
+		} {
+			want, err := ChunkDepBoundsAt(g, ord, starts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pk.ChunkDepBoundsAt(pos, starts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("explicit=%v: %d chunks, want %d", explicit, len(got), len(want))
+			}
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("explicit=%v chunk %d: dep %d, want %d", explicit, c, got[c], want[c])
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,6 +21,53 @@ func randomPerm(rng *rand.Rand, n int) []int32 {
 	}
 	rng.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
+}
+
+// randomTopoGraph builds a graph whose arcs all point backward in the
+// given sweep order (order[p] scanned at p; nil = identity), matching
+// the reverse-topological downward graphs of the sweep. Weights span
+// 8-bit, 16-bit and full 32-bit magnitudes and include Inf.
+func randomTopoGraph(rng *rand.Rand, n, m int, order []int32) *Graph {
+	pos := make([]int32, n)
+	for p := 0; p < n; p++ {
+		v := int32(p)
+		if order != nil {
+			v = order[p]
+		}
+		pos[v] = int32(p)
+	}
+	vertexAt := func(p int32) int32 {
+		if order != nil {
+			return order[p]
+		}
+		return p
+	}
+	b := NewBuilder(n)
+	for i := 0; i < m; i++ {
+		tp := 1 + rng.Intn(n-1) // tail position; needs an earlier head
+		hp := rng.Intn(tp)
+		b.MustAddArc(vertexAt(int32(tp)), vertexAt(int32(hp)), uint32(rng.Intn(1000)))
+	}
+	g := b.Build()
+	// The builder caps weights at MaxWeight; Inf and the full 32-bit
+	// range only arise through metric customization, so re-metric in
+	// place.
+	for v := int32(0); int(v) < n; v++ {
+		arcs := g.Arcs(v)
+		for i := range arcs {
+			switch rng.Intn(5) {
+			case 0:
+				arcs[i].Weight = uint32(rng.Intn(0x100)) // 8-bit range incl. 0xFF
+			case 1:
+				arcs[i].Weight = uint32(rng.Intn(0x10000)) // 16-bit range incl. 0xFFFF
+			case 2:
+				arcs[i].Weight = rng.Uint32() // full range
+			case 3:
+				arcs[i].Weight = Inf
+			}
+		}
+	}
+	return g
 }
 
 func TestPackedIdentityRoundTrip(t *testing.T) {
@@ -218,4 +266,74 @@ func TestPackedUnpackRejectsCorruption(t *testing.T) {
 	if _, _, err := p.Unpack(); err == nil {
 		t.Fatal("out-of-range head accepted")
 	}
+}
+
+// FuzzPackedRoundTrip encodes a random reverse-topological graph into
+// the packed stream and checks that Unpack recovers the graph and the
+// sweep order, and that WithWeights under a second metric yields the
+// same words as a fresh encode of the re-weighted graph.
+func FuzzPackedRoundTrip(f *testing.F) {
+	f.Add(uint16(8), uint16(20), int64(1))
+	f.Add(uint16(1), uint16(0), int64(2))
+	f.Add(uint16(300), uint16(900), int64(3))
+	f.Add(uint16(2), uint16(1), int64(4))
+	f.Add(uint16(64), uint16(512), int64(5))
+	f.Add(uint16(2), uint16(500), int64(7))
+	f.Add(uint16(511), uint16(2047), int64(9))
+	f.Add(uint16(100), uint16(400), int64(42))
+	f.Add(uint16(1), uint16(0), int64(0))
+	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, seed int64) {
+		n := 1 + int(nRaw)%512
+		m := int(mRaw) % 2048
+		if n < 2 {
+			m = 0
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var ord []int32
+		if seed%2 == 0 {
+			ord = randomPerm(rng, n)
+		}
+		g := NewBuilder(n).Build()
+		if n >= 2 {
+			g = randomTopoGraph(rng, n, m, ord)
+		}
+		p, err := NewPacked(g, ord)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		ug, uord, err := p.Unpack()
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !ug.Equal(g) {
+			t.Fatal("round trip changed the graph")
+		}
+		if (uord == nil) != (ord == nil) {
+			t.Fatal("round trip changed order presence")
+		}
+		for i := range ord {
+			if uord[i] != ord[i] {
+				t.Fatalf("order[%d]=%d, want %d", i, uord[i], ord[i])
+			}
+		}
+		weights := make([]uint32, g.NumArcs())
+		for i := range weights {
+			weights[i] = rng.Uint32()
+		}
+		g2, err := g.WithWeights(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patched, err := p.WithWeights(g2)
+		if err != nil {
+			t.Fatalf("patch: %v", err)
+		}
+		fresh, err := NewPacked(g2, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(patched.Stream(), fresh.Stream()) || !slices.Equal(patched.BlockStarts(), fresh.BlockStarts()) {
+			t.Fatal("WithWeights differs from a fresh encode of the re-weighted graph")
+		}
+	})
 }

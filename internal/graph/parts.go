@@ -2,15 +2,15 @@ package graph
 
 import "fmt"
 
-// This file holds the raw-parts constructors the snapshot reader uses to
-// rebuild the sweep streams around memory it does not own — typically
+// This file holds the raw-parts constructor the snapshot reader uses to
+// rebuild the sweep stream around memory it does not own — typically
 // slices aliasing an mmap'd file. FromRaw already plays this role for
 // Graph (it stores the given first/arcs without copying); PackedFromParts
-// and PackedZFromParts extend the same contract to the packed layouts.
+// extends the same contract to the packed stream.
 //
-// Unlike NewPacked/NewPackedZ, which derive a stream from a graph they
-// trust, these constructors receive bytes from disk and therefore walk
-// the full grammar before accepting it: a forged stream must fail here,
+// Unlike NewPacked, which derives a stream from a graph it trusts,
+// PackedFromParts receives words from disk and therefore walks the full
+// grammar before accepting it: a forged stream must fail here,
 // not as an out-of-range index inside a sweep kernel. The walk reads
 // every block once (O(n+m), allocation-light) — cheap next to the build
 // the snapshot replaces, and the price of handing the kernels unvalidated
@@ -85,87 +85,3 @@ func PackedFromParts(stream []uint32, blockStart []int, n, m int, explicitV bool
 	}
 	return &Packed{stream: stream, blockStart: blockStart, n: n, m: m, explicitV: explicitV}, nil
 }
-
-// PackedZFromParts reassembles a compressed sweep stream from its stored
-// parts without copying. The stream must include the streamPad trailer
-// past the last block (SaveSnapshot stores it so a loaded stream is
-// wide-load safe in place). The full grammar — headers, width tags,
-// delta ranges, the order permutation — is validated before the slices
-// are accepted.
-func PackedZFromParts(stream []byte, blockStart []int, n, m int, explicitV bool) (*PackedZ, error) {
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graph: packedz parts have negative dims %d/%d", n, m)
-	}
-	if len(blockStart) != n+1 {
-		return nil, fmt.Errorf("graph: packedz parts block index has %d entries, want %d", len(blockStart), n+1)
-	}
-	if len(blockStart) > 0 && (blockStart[n] < 0 || blockStart[n]+streamPad != len(stream)) {
-		return nil, fmt.Errorf("graph: packedz parts stream has %d bytes, block index ends at %d (+%d pad)", len(stream), blockStart[n], streamPad)
-	}
-	if n > 0 && blockStart[0] != 0 {
-		return nil, fmt.Errorf("graph: packedz parts block index does not start at 0")
-	}
-	var seen []bool
-	if explicitV {
-		seen = make([]bool, n)
-	}
-	arcs := 0
-	i := 0
-	for p := 0; p < n; p++ {
-		if i != blockStart[p] {
-			return nil, fmt.Errorf("graph: packedz parts block %d starts at %d, index says %d", p, i, blockStart[p])
-		}
-		header, j, ok := readUvarint(stream, i)
-		if !ok {
-			return nil, fmt.Errorf("graph: packedz parts stream truncated at position %d", p)
-		}
-		i = j
-		d := int(header >> 4)
-		dtag := int(header >> 2 & 3)
-		wtag := int(header & 3)
-		if wtag == 3 || dtag == 3 {
-			return nil, fmt.Errorf("graph: packedz parts block %d has reserved width tag", p)
-		}
-		if explicitV {
-			zz, j, ok := readUvarint(stream, i)
-			if !ok {
-				return nil, fmt.Errorf("graph: packedz parts stream truncated at position %d", p)
-			}
-			i = j
-			v := int32(p) + unzigzag(zz)
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("graph: packedz parts vertex %d out of range at position %d", v, p)
-			}
-			if seen[v] {
-				return nil, fmt.Errorf("graph: packedz parts vertex %d appears twice", v)
-			}
-			seen[v] = true
-		}
-		span := d * (tagWidth(dtag) + tagWidth(wtag))
-		if i+span > blockStart[p+1] || blockStart[p+1] > blockStart[n] {
-			return nil, fmt.Errorf("graph: packedz parts block %d overruns its index entry", p)
-		}
-		for a := 0; a < d; a++ {
-			delta, ok := readFixed(stream, i, dtag)
-			if !ok {
-				return nil, fmt.Errorf("graph: packedz parts block %d overruns the stream", p)
-			}
-			i += tagWidth(dtag) + tagWidth(wtag)
-			if delta == 0 || int(delta) > p {
-				return nil, fmt.Errorf("graph: packedz parts head delta %d at position %d escapes [1,%d]", delta, p, p)
-			}
-		}
-		if i != blockStart[p+1] {
-			return nil, fmt.Errorf("graph: packedz parts block %d ends at %d, index says %d", p, i, blockStart[p+1])
-		}
-		arcs += d
-	}
-	if arcs != m {
-		return nil, fmt.Errorf("graph: packedz parts degrees sum to %d arcs, want %d", arcs, m)
-	}
-	return &PackedZ{stream: stream, blockStart: blockStart, n: n, m: m, explicitV: explicitV}, nil
-}
-
-// ValidChunkStarts re-exports the chunk boundary shape check for readers
-// that restore chunk geometry from storage instead of recomputing it.
-func ValidChunkStarts(starts []int32, n int) error { return validChunkStarts(starts, n) }

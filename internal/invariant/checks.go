@@ -276,50 +276,6 @@ func PackedStream(p *graph.Packed, g *graph.Graph, order []int32) error {
 	return nil
 }
 
-// PackedZStream validates the compressed sweep stream against the CSR
-// graph and sweep order it was built from: dimensions match, the
-// byte-offset block index partitions the stream, and the delta+varint
-// grammar round-trips to exactly the original adjacency (Unpack walks
-// the stream re-checking every header, delta range, and width escape,
-// so corrupt bytes surface as decode errors here).
-func PackedZStream(z *graph.PackedZ, g *graph.Graph, order []int32) error {
-	if z.NumVertices() != g.NumVertices() || z.NumArcs() != g.NumArcs() {
-		return fmt.Errorf("invariant: packedz dims %d/%d, graph %d/%d",
-			z.NumVertices(), z.NumArcs(), g.NumVertices(), g.NumArcs())
-	}
-	if z.ExplicitVertex() != (order != nil) {
-		return fmt.Errorf("invariant: packedz explicit-vertex flag %v but order nil=%v",
-			z.ExplicitVertex(), order == nil)
-	}
-	n := z.NumVertices()
-	bs := z.BlockStarts()
-	if len(bs) != n+1 {
-		return fmt.Errorf("invariant: packedz block index has %d entries, want %d", len(bs), n+1)
-	}
-	if n > 0 && (bs[0] != 0 || bs[n] != z.ByteLen()) {
-		return fmt.Errorf("invariant: packedz block index spans [%d,%d], want [0,%d]", bs[0], bs[n], z.ByteLen())
-	}
-	for pos := 0; pos < n; pos++ {
-		if bs[pos+1] <= bs[pos] {
-			return fmt.Errorf("invariant: packedz block index not increasing at position %d", pos)
-		}
-	}
-	ug, uorder, err := z.Unpack()
-	if err != nil {
-		return fmt.Errorf("invariant: packedz stream malformed: %w", err)
-	}
-	if !ug.Equal(g) {
-		return fmt.Errorf("invariant: packedz stream does not round-trip to its CSR graph")
-	}
-	for i := range order {
-		if uorder[i] != order[i] {
-			return fmt.Errorf("invariant: packedz vertex word at position %d is %d, order says %d",
-				i, uorder[i], order[i])
-		}
-	}
-	return nil
-}
-
 // ChunkDeps validates the persistent scheduler's per-chunk dependency
 // thresholds against an independent recompute from the downward CSR
 // graph and the sweep order. chunkDep[c] is a chunk index: the chunk

@@ -227,14 +227,10 @@ type Stats struct {
 	// SweepBytes/SweepSeconds — comparable against the Section VIII-B
 	// Sequential/Traversal lower bounds (see cmd/experiments -run bound).
 	SweepGBps float64
-	// StreamBytes is the byte footprint of the graph stream one sweep
-	// scans on this server's engines (compressed stream bytes under the
-	// compressed layout, packed words × 4 otherwise) — a property of the
-	// layout, not a counter.
+	// StreamBytes is the byte footprint of the packed stream one sweep
+	// scans on this server's engines — a property of the layout, not a
+	// counter.
 	StreamBytes uint64
-	// StreamCompressionRatio is StreamBytes relative to the uncompressed
-	// packed stream; 1 for uncompressed layouts.
-	StreamCompressionRatio float64
 	// MetricSwaps counts InstallMetric publications (the initial install
 	// of the default metric included).
 	MetricSwaps uint64
@@ -292,10 +288,9 @@ type TreeServer struct {
 	// pool; bound to the prototype engine at New (clones share the pool,
 	// so any engine's snapshot covers all of them).
 	schedStats func() core.SchedStats
-	// streamBytes/compression describe the prototype engine's sweep
-	// layout (see Stats.StreamBytes), captured once at New.
+	// streamBytes describes the prototype engine's sweep layout (see
+	// Stats.StreamBytes), captured once at New.
 	streamBytes int64
-	compression float64
 	// snapBytes/coldStart carry the prototype engine's snapshot
 	// provenance into Stats (zero for in-process builds).
 	snapBytes int64
@@ -327,7 +322,6 @@ func New(proto *core.Engine, opt Options) (*TreeServer, error) {
 		batches:     make(chan []request, o.Engines),
 		schedStats:  proto.SchedStats,
 		streamBytes: proto.StreamBytes(),
-		compression: proto.CompressionRatio(),
 		snapBytes:   proto.SnapshotBytes(),
 		coldStart:   proto.ColdStart(),
 	}
@@ -549,7 +543,6 @@ func (s *TreeServer) Stats() Stats {
 		st.SweepGBps = float64(st.SweepBytes) / st.SweepSeconds / 1e9
 	}
 	st.StreamBytes = uint64(s.streamBytes)
-	st.StreamCompressionRatio = s.compression
 	st.SnapshotBytes = s.snapBytes
 	st.ColdStartSeconds = s.coldStart.Seconds()
 	sched := s.schedStats()

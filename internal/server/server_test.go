@@ -160,56 +160,6 @@ func TestStatsCountQueriesAndBatches(t *testing.T) {
 	if st.StreamBytes == 0 {
 		t.Fatal("StreamBytes=0")
 	}
-	if st.StreamCompressionRatio != 1 {
-		t.Fatalf("StreamCompressionRatio=%v for the uncompressed layout, want 1", st.StreamCompressionRatio)
-	}
-}
-
-// TestCompressedServerStats serves trees from a compressed-stream
-// engine and checks both the labels (vs an uncompressed server) and the
-// layout accounting the stats surface.
-func TestCompressedServerStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := gridGraph(rng, 12, 10, 30)
-	h := ch.Build(g, ch.Options{Workers: 1})
-	zEng, err := core.NewEngine(h, core.Options{Workers: 1, CompressedSweep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zs, err := server.New(zEng, server.Options{Engines: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zs.Close()
-	ps := newServer(t, g, server.Options{Engines: 1})
-	for trial := 0; trial < 4; trial++ {
-		src := int32(rng.Intn(g.NumVertices()))
-		zr, err := zs.Query(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := ps.Query(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			if zr.Dist(int32(v)) != pr.Dist(int32(v)) {
-				t.Fatalf("src %d: compressed dist(%d)=%d, packed %d", src, v, zr.Dist(int32(v)), pr.Dist(int32(v)))
-			}
-		}
-		zr.Release()
-		pr.Release()
-	}
-	st := zs.Stats()
-	if st.StreamBytes == 0 {
-		t.Fatal("compressed server reports StreamBytes=0")
-	}
-	if st.StreamCompressionRatio <= 0 || st.StreamCompressionRatio >= 1 {
-		t.Fatalf("StreamCompressionRatio=%v, want in (0,1)", st.StreamCompressionRatio)
-	}
-	if pst := ps.Stats(); st.StreamBytes >= pst.StreamBytes {
-		t.Fatalf("compressed stream (%d B) not smaller than packed (%d B)", st.StreamBytes, pst.StreamBytes)
-	}
 }
 
 func TestContextCancellation(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package snapshot defines the versioned binary format for a complete
 // PHAST engine — the CH hierarchy (v2 semantics: metric identity
-// included), the original graph, the packed or compressed sweep stream,
+// included), the original graph, the packed sweep stream,
 // the chunk schedule with its precomputed dependency bounds, and the
 // vertex orders and level ranges — laid out so a reader aliases every
 // large array directly out of an mmap'd file with zero copies.
@@ -19,20 +19,19 @@
 //
 // Every array section stores its elements verbatim in engine memory
 // layout — []int32, []graph.Arc (8 bytes: head int32 + weight uint32),
-// []uint32, []int64 (block starts), [][2]int32 (level ranges), or raw
-// bytes (the compressed stream, stored with its wide-load pad so it is
-// sweep-safe in place). Because each section offset is 8-byte aligned
-// and the element types have no padding, a reader on a little-endian
-// 64-bit platform reconstructs each array with one unsafe.Slice over
-// the mapped region: zero large-array copies, N processes sharing one
-// page-cache copy of the file.
+// []uint32, []int64 (block starts) or [][2]int32 (level ranges).
+// Because each section offset is 8-byte aligned and the element types
+// have no padding, a reader on a little-endian 64-bit platform
+// reconstructs each array with one unsafe.Slice over the mapped region:
+// zero large-array copies, N processes sharing one page-cache copy of
+// the file.
 //
 // # Hardening
 //
 // The reader trusts nothing: magic/version/size, the section table
 // (alignment, bounds, ordering, exact lengths against n and the arc
-// counts), permutations, mid ranges, the full packed/compressed stream
-// grammar, and the chunk schedule are all validated before an engine is
+// counts), permutations, mid ranges, the full packed stream grammar,
+// and the chunk schedule are all validated before an engine is
 // assembled — the same discipline as ch.ReadHierarchy, extended to the
 // aliasing layout (FuzzSnapshotRoundTrip forges headers, lengths, and
 // alignments against it). Validation reads every section once but
@@ -62,8 +61,10 @@ import (
 const (
 	// Magic spells "PHASTSNP" as a little-endian uint64.
 	Magic uint64 = 0x504e535453414850
-	// Version of the format this package writes.
-	Version = 1
+	// Version of the format this package writes. Version 2 carries
+	// exactly one sweep stream, the packed words; version 1 files, which
+	// had a second stream slot, are rejected.
+	Version = 2
 
 	headerWords = 10
 	maxNameLen  = 1 << 10
@@ -73,9 +74,9 @@ const (
 	maxDim = 1 << 31
 )
 
-// Section indices of format version 1. The table length is fixed:
-// absent arrays (no packed stream, identity order) are zero-length
-// sections, not missing ones.
+// Section indices of format version 2. The table length is fixed:
+// absent arrays (identity order) are zero-length sections, not missing
+// ones.
 const (
 	secHGFirst = iota
 	secHGArcs
@@ -97,8 +98,6 @@ const (
 	secLevelRanges
 	secPackedStream
 	secPackedBlocks
-	secPackedZStream
-	secPackedZBlocks
 	secChunkStart
 	secChunkDep
 	secOrigFirst
@@ -106,14 +105,13 @@ const (
 	numSections
 )
 
-// Header flag bits.
+// Header flag bits. Bits 3 and 4 named the sweep stream kind in
+// version 1 and are undefined now.
 const (
 	flagModeMask  = 0b11 // core.SweepMode
 	flagExplicitV = 1 << 2
-	flagPacked    = 1 << 3
-	flagPackedZ   = 1 << 4
 	flagForkJoin  = 1 << 5
-	flagsKnown    = flagModeMask | flagExplicitV | flagPacked | flagPackedZ | flagForkJoin
+	flagsKnown    = flagModeMask | flagExplicitV | flagForkJoin
 )
 
 // hostIsAliasable reports whether this platform can alias the on-disk
@@ -178,7 +176,7 @@ func Write(w io.Writer, p core.EngineParts, orig *graph.Graph) (int64, error) {
 	if !hostIsAliasable() {
 		return 0, fmt.Errorf("snapshot: writing requires a little-endian 64-bit platform")
 	}
-	if p.H == nil || p.H.G == nil || orig == nil {
+	if p.H == nil || p.H.G == nil || p.Packed == nil || orig == nil {
 		return 0, fmt.Errorf("snapshot: incomplete engine parts")
 	}
 	h := p.H
@@ -205,17 +203,8 @@ func Write(w io.Writer, p core.EngineParts, orig *graph.Graph) (int64, error) {
 	sections[secOrder] = bytesOfInt32s(p.Order)
 	sections[secPos] = bytesOfInt32s(p.Pos)
 	sections[secLevelRanges] = bytesOfRanges(p.LevelRanges)
-	if p.Packed != nil {
-		sections[secPackedStream] = bytesOfUint32s(p.Packed.Stream())
-		sections[secPackedBlocks] = bytesOfInts(p.Packed.BlockStarts())
-	}
-	if p.PackedZ != nil {
-		// The stored stream includes the wide-load pad past the last
-		// block, so the aliased slice is sweep-safe without copying.
-		z := p.PackedZ
-		sections[secPackedZStream] = z.Stream()
-		sections[secPackedZBlocks] = bytesOfInts(z.BlockStarts())
-	}
+	sections[secPackedStream] = bytesOfUint32s(p.Packed.Stream())
+	sections[secPackedBlocks] = bytesOfInts(p.Packed.BlockStarts())
 	sections[secChunkStart] = bytesOfInt32s(p.ChunkStart)
 	sections[secChunkDep] = bytesOfInt32s(p.ChunkDep)
 	sections[secOrigFirst] = bytesOfInt32s(orig.FirstOut())
@@ -224,12 +213,6 @@ func Write(w io.Writer, p core.EngineParts, orig *graph.Graph) (int64, error) {
 	flags := uint64(p.Mode) & flagModeMask
 	if p.Order != nil {
 		flags |= flagExplicitV
-	}
-	if p.Packed != nil {
-		flags |= flagPacked
-	}
-	if p.PackedZ != nil {
-		flags |= flagPackedZ
 	}
 	if p.ForkJoin {
 		flags |= flagForkJoin
@@ -502,11 +485,6 @@ func FromBytes(data []byte) (*Snapshot, error) {
 	if mode != core.SweepReordered && !explicit {
 		return nil, fmt.Errorf("snapshot: %v mode without a sweep order", mode)
 	}
-	// Every engine sweeps exactly one stream; a file flagging neither
-	// (written before the CSR kernels were retired) has nothing to sweep.
-	if (flags&flagPacked != 0) == (flags&flagPackedZ != 0) {
-		return nil, fmt.Errorf("snapshot: flags %#x must name exactly one sweep stream kind", flags)
-	}
 
 	i32s := func(idx int, count int, what string) ([]int32, error) {
 		s := secs[idx]
@@ -672,46 +650,21 @@ func FromBytes(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	unflagged := [2]int{secPackedZStream, secPackedZBlocks}
-	if flags&flagPacked == 0 {
-		unflagged = [2]int{secPackedStream, secPackedBlocks}
+	stream := secs[secPackedStream]
+	if stream.len%4 != 0 || stream.len/4 >= maxDim {
+		return nil, fmt.Errorf("snapshot: packed stream section has odd length %d", stream.len)
 	}
-	if secs[unflagged[0]].len != 0 || secs[unflagged[1]].len != 0 {
-		return nil, fmt.Errorf("snapshot: sections of the unflagged sweep stream kind are not empty")
+	var words []uint32
+	if stream.len > 0 {
+		words = unsafe.Slice((*uint32)(unsafe.Pointer(&data[stream.off])), stream.len/4)
 	}
-	var packed *graph.Packed
-	var packedz *graph.PackedZ
-	if flags&flagPacked != 0 {
-		stream := secs[secPackedStream]
-		if stream.len%4 != 0 || stream.len/4 >= maxDim {
-			return nil, fmt.Errorf("snapshot: packed stream section has odd length %d", stream.len)
-		}
-		var words []uint32
-		if stream.len > 0 {
-			words = unsafe.Slice((*uint32)(unsafe.Pointer(&data[stream.off])), stream.len/4)
-		}
-		blocks, err := intsAt(secPackedBlocks, n+1, "packed blocks")
-		if err != nil {
-			return nil, err
-		}
-		packed, err = graph.PackedFromParts(words, blocks, n, downIn.NumArcs(), explicit)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-	} else {
-		stream := secs[secPackedZStream]
-		var bytes []byte
-		if stream.len > 0 {
-			bytes = data[stream.off : stream.off+stream.len]
-		}
-		blocks, err := intsAt(secPackedZBlocks, n+1, "compressed blocks")
-		if err != nil {
-			return nil, err
-		}
-		packedz, err = graph.PackedZFromParts(bytes, blocks, n, downIn.NumArcs(), explicit)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
+	blocks, err := intsAt(secPackedBlocks, n+1, "packed blocks")
+	if err != nil {
+		return nil, err
+	}
+	packed, err := graph.PackedFromParts(words, blocks, n, downIn.NumArcs(), explicit)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 
 	chunkStart, err := i32sAny(secChunkStart, "chunk starts")
@@ -749,7 +702,6 @@ func FromBytes(data []byte) (*Snapshot, error) {
 			Pos:         pos,
 			LevelRanges: levelRanges,
 			Packed:      packed,
-			PackedZ:     packedz,
 			ChunkStart:  chunkStart,
 			ChunkDep:    chunkDep,
 			ForkJoin:    flags&flagForkJoin != 0,

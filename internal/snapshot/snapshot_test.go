@@ -26,8 +26,8 @@ func fixture(t testing.TB) (*graph.Graph, *ch.Hierarchy) {
 	return net.Graph, h
 }
 
-// engineConfigs enumerates every sweep mode × stream layout the snapshot
-// must round-trip byte-identically.
+// engineConfigs enumerates every sweep mode the snapshot must
+// round-trip byte-identically.
 func engineConfigs() []struct {
 	name string
 	opt  core.Options
@@ -37,11 +37,8 @@ func engineConfigs() []struct {
 		opt  core.Options
 	}{
 		{"reordered/packed", core.Options{Mode: core.SweepReordered}},
-		{"reordered/packedz", core.Options{Mode: core.SweepReordered, CompressedSweep: true}},
 		{"levelorder/packed", core.Options{Mode: core.SweepLevelOrder}},
-		{"levelorder/packedz", core.Options{Mode: core.SweepLevelOrder, CompressedSweep: true}},
 		{"rankorder/packed", core.Options{Mode: core.SweepRankOrder}},
-		{"rankorder/packedz", core.Options{Mode: core.SweepRankOrder, CompressedSweep: true}},
 	}
 }
 
@@ -243,7 +240,6 @@ func TestRejectsForgery(t *testing.T) {
 	forge("bad version", func(b []byte) []byte { put64(b, 8, 99); return b })
 	forge("wrong file size", func(b []byte) []byte { put64(b, 16, uint64(len(b))+8); return b })
 	forge("unknown flags", func(b []byte) []byte { put64(b, 24, 1<<40); return b })
-	forge("both stream kinds", func(b []byte) []byte { put64(b, 24, u64at(b, 24)|flagPackedZ); return b })
 	forge("huge n", func(b []byte) []byte { put64(b, 32, 1<<40); return b })
 	forge("huge name", func(b []byte) []byte { put64(b, 64, 1<<20); return b })
 	forge("wrong section count", func(b []byte) []byte { put64(b, 72, 7); return b })
@@ -266,31 +262,18 @@ func TestRejectsForgery(t *testing.T) {
 		return b
 	})
 
-	// A header flagging no stream, as files from engines without a
-	// sweep stream carried, is refused for that reason and no other.
-	b := append([]byte(nil), good...)
-	put64(b, 24, u64at(b, 24)&^flagPacked)
-	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "exactly one sweep stream") {
-		t.Errorf("stream-less header: got %v, want the one-stream error", err)
+	// Version 1 files (two stream slots) and version 1's stream-kind
+	// flag bits 3 and 4 are refused for that reason and no other.
+	refused := func(name, want string, mutate func(b []byte)) {
+		b := append([]byte(nil), good...)
+		mutate(b)
+		if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, want)
+		}
 	}
-
-	// Both streams written, one flag cleared: the unflagged stream's
-	// sections must not ride along unvalidated.
-	z, err := core.NewEngine(h, core.Options{Workers: 1, CompressedSweep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := eng.Parts()
-	parts.PackedZ = z.Parts().PackedZ
-	var both bytes.Buffer
-	if _, err := Write(&both, parts, g); err != nil {
-		t.Fatal(err)
-	}
-	b = both.Bytes()
-	put64(b, 24, u64at(b, 24)&^flagPackedZ)
-	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "unflagged") {
-		t.Errorf("packed header with compressed sections: got %v, want the unflagged-sections error", err)
-	}
+	refused("v1 version word", "unsupported version 1", func(b []byte) { put64(b, 8, 1) })
+	refused("v2 with flag bit 3", "unknown flag bits 0x8", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<3) })
+	refused("v2 with flag bit 4", "unknown flag bits 0x10", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<4) })
 }
 
 // FuzzSnapshotRoundTrip mutates the header and section table of a valid

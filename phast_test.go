@@ -115,40 +115,6 @@ func TestPublicSurface(t *testing.T) {
 	}
 }
 
-func TestCompressedSweepFacade(t *testing.T) {
-	net := testNetwork(t)
-	g := net.Graph
-	e, err := phast.Preprocess(g, &phast.Options{CompressedSweep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 3; trial++ {
-		s := int32(rng.Intn(g.NumVertices()))
-		e.Tree(s)
-		d.Run(s)
-		for v := int32(0); v < int32(g.NumVertices()); v++ {
-			if e.Dist(v) != d.Dist(v) {
-				t.Fatalf("compressed dist(%d)=%d, want %d", v, e.Dist(v), d.Dist(v))
-			}
-		}
-	}
-	if e.StreamBytes() <= 0 {
-		t.Fatal("compressed engine reports no stream bytes")
-	}
-	if r := e.CompressionRatio(); r <= 0 || r >= 1 {
-		t.Fatalf("compression ratio %.3f, want (0,1)", r)
-	}
-	plain := testEngine(t, g)
-	if plain.CompressionRatio() != 1 {
-		t.Fatalf("uncompressed ratio %.3f, want 1", plain.CompressionRatio())
-	}
-	if plain.StreamBytes() <= e.StreamBytes() {
-		t.Fatal("compressed stream is not smaller than packed")
-	}
-}
-
 func TestCloneConcurrentUse(t *testing.T) {
 	net := testNetwork(t)
 	e := testEngine(t, net.Graph)
