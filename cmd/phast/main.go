@@ -209,8 +209,8 @@ func replayQueries(eng *phast.Engine, c config) error {
 	fmt.Printf("replayed %d queries with %d clients: %v total, %.0f queries/s\n",
 		len(sources), c.clients, elapsed.Round(time.Millisecond),
 		float64(st.Queries)/elapsed.Seconds())
-	fmt.Printf("server: %d batches, mean occupancy %.2f/%d, queue high water %d\n",
-		st.Batches, st.MeanBatchOccupancy, c.batch, st.QueueHighWater)
+	fmt.Printf("server: %d batches, mean occupancy %.2f/%d, queue high water %d, sweep %.2f ms, copy-out %.2f ms\n",
+		st.Batches, st.MeanBatchOccupancy, c.batch, st.QueueHighWater, st.SweepSeconds*1e3, st.CopySeconds*1e3)
 	return nil
 }
 

@@ -11,8 +11,9 @@ import (
 // These tests pin the aliasing contract of the raw accessors: slices
 // returned by RawDistances/RawMultiDistances are the engine's working
 // buffers and the next sweep silently overwrites them, while
-// CopyDistances/CopyLaneDistances snapshots stay valid forever. The
-// serving layer (internal/server) depends on the copy forms.
+// CopyDistances/CopyLaneDistances/CopyLanes snapshots stay valid
+// forever. The serving layer (internal/server) depends on the copy
+// forms.
 
 // TestRawDistancesInvalidatedByNextSweep demonstrates the hazard the
 // copy accessors exist to avoid: a raw slice held across a sweep is
@@ -152,4 +153,100 @@ func TestCopyLaneDistancesGuards(t *testing.T) {
 	mustPanic("negative lane", func() { e.CopyLaneDistances(-1, buf) })
 	mustPanic("short buffer", func() { e.CopyLaneDistances(0, buf[:n-1]) })
 	mustPanic("CopyDistances after MultiTree", func() { e.CopyDistances(buf) })
+}
+
+// TestCopyLanesMatchesCopyLaneDistancesAndDijkstra is the differential
+// test of the lane-group copy-out: for k across every 4/2/1 group
+// remainder and in every sweep mode (a permuting toEngine under
+// SweepReordered, the identity under level and rank order), each
+// buffer CopyLanes fills must equal CopyLaneDistances of its lane and
+// Dijkstra from its source. The sparse random graph leaves vertices
+// unreached, so Inf labels are copied too.
+func TestCopyLanesMatchesCopyLaneDistancesAndDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	g := randomGraph(rng, 150, 330, 30)
+	n := g.NumVertices()
+	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
+	want := make([]uint32, n)
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := newEngine(t, g, Options{Mode: mode})
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 32} {
+				sources := make([]int32, k)
+				bufs := make([][]uint32, k)
+				for i := range sources {
+					sources[i] = int32(rng.Intn(n))
+					bufs[i] = make([]uint32, n)
+				}
+				e.MultiTree(sources, false)
+				e.CopyLanes(bufs)
+				for i, src := range sources {
+					e.CopyLaneDistances(i, want)
+					d.Run(src)
+					for v := range want {
+						if bufs[i][v] != want[v] || bufs[i][v] != d.Dist(int32(v)) {
+							t.Fatalf("k=%d lane %d (src %d) vertex %d: CopyLanes %d, CopyLaneDistances %d, Dijkstra %d",
+								k, i, src, v, bufs[i][v], want[v], d.Dist(int32(v)))
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCopyLanesSurvivesNextSweep: buffers CopyLanes filled are private
+// snapshots, untouched by later sweeps of the same or another k.
+func TestCopyLanesSurvivesNextSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	g := gridGraph(rng, 10, 9, 25)
+	n := g.NumVertices()
+	e := newEngine(t, g, Options{})
+	sources := []int32{4, 31, 60, 2, 77}
+	bufs := make([][]uint32, len(sources))
+	for i := range bufs {
+		bufs[i] = make([]uint32, n)
+	}
+	e.MultiTree(sources, false)
+	e.CopyLanes(bufs)
+	then := make([][]uint32, len(bufs))
+	for i, b := range bufs {
+		then[i] = append([]uint32(nil), b...)
+	}
+	e.MultiTree([]int32{8, 9, 10, 11, 12}, false)
+	e.MultiTree([]int32{13, 14}, false)
+	for i := range bufs {
+		for v := range bufs[i] {
+			if bufs[i][v] != then[i][v] {
+				t.Fatalf("lane %d vertex %d changed by a later sweep: %d, was %d", i, v, bufs[i][v], then[i][v])
+			}
+		}
+	}
+}
+
+func TestCopyLanesGuards(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	g := gridGraph(rng, 5, 5, 10)
+	n := g.NumVertices()
+	e := newEngine(t, g, Options{})
+	bufs := make([][]uint32, 3)
+	for i := range bufs {
+		bufs[i] = make([]uint32, n)
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e.Tree(0)
+	mustPanic("CopyLanes after single Tree", func() { e.CopyLanes(bufs[:1]) })
+	e.MultiTree([]int32{1, 2}, false)
+	mustPanic("too many buffers", func() { e.CopyLanes(bufs) })
+	mustPanic("too few buffers", func() { e.CopyLanes(bufs[:1]) })
+	mustPanic("short buffer", func() { e.CopyLanes([][]uint32{bufs[0], bufs[1][:n-1]}) })
+	e.CopyLanes(bufs[:2])
 }

@@ -103,6 +103,58 @@ func (e *Engine) CopyLaneDistances(i int, buf []uint32) {
 	}
 }
 
+// CopyLanes writes every tree of the last MultiTree/MultiTreeParallel
+// call into bufs — tree i into bufs[i], indexed by original vertex ID —
+// with the same snapshot guarantee as CopyLaneDistances. len(bufs) must
+// be K() and every buffer's length n.
+//
+// Where k CopyLaneDistances calls read each vertex's label row k times,
+// CopyLanes walks the lanes in the relax's groups of 4, 2 and 1
+// (multi_relax.go): one pass over the vertices per group reads the
+// group's adjacent labels kdist[v*k+j : +4] together and writes four
+// sequential output streams, so each row is read about k/4 times.
+//
+//phast:hotpath
+func (e *Engine) CopyLanes(bufs [][]uint32) {
+	if !e.lastMulti {
+		panic("core: last computation was not MultiTree; read labels with CopyDistances")
+	}
+	if len(bufs) != e.k {
+		panic("core: CopyLanes needs one buffer per tree")
+	}
+	n := e.s.n
+	for _, buf := range bufs {
+		if len(buf) != n {
+			panic("core: CopyLanes buffer has wrong length")
+		}
+	}
+	kd, toEngine, k := e.kdist, e.s.toEngine[:n], e.k
+	j := 0
+	for ; j+4 <= k; j += 4 {
+		b0, b1, b2, b3 := bufs[j][:n], bufs[j+1][:n], bufs[j+2][:n], bufs[j+3][:n]
+		for orig, v := range toEngine {
+			u := int(v)*k + j
+			row := kd[u : u+4 : u+4]
+			b0[orig], b1[orig], b2[orig], b3[orig] = row[0], row[1], row[2], row[3]
+		}
+	}
+	if j+2 <= k {
+		b0, b1 := bufs[j][:n], bufs[j+1][:n]
+		for orig, v := range toEngine {
+			u := int(v)*k + j
+			row := kd[u : u+2 : u+2]
+			b0[orig], b1[orig] = row[0], row[1]
+		}
+		j += 2
+	}
+	if j < k {
+		b0 := bufs[j][:n]
+		for orig, v := range toEngine {
+			b0[orig] = kd[int(v)*k+j]
+		}
+	}
+}
+
 // chSearchLane runs the upward search for lane i of k. The first time a
 // vertex is touched this round all of its k lanes are set to Inf before
 // lane i is written, preserving the implicit-initialization invariant

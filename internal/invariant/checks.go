@@ -276,75 +276,18 @@ func PackedStream(p *graph.Packed, g *graph.Graph, order []int32) error {
 	return nil
 }
 
-// ChunkDeps validates the persistent scheduler's per-chunk dependency
+// ChunkDepsAt validates the persistent scheduler's per-chunk dependency
 // thresholds against an independent recompute from the downward CSR
-// graph and the sweep order. chunkDep[c] is a chunk index: the chunk
-// holding the highest-positioned external predecessor of any vertex in
-// chunk c (or -1 when every predecessor is internal). Along the way it
-// re-proves the property the scheduler's correctness rests on: the
-// sweep order is topological for the downward graph, so every incoming
-// arc's tail sits at a strictly earlier position.
-func ChunkDeps(g *graph.Graph, order []int32, grain int, chunkDep []int32) error {
-	n := g.NumVertices()
-	if grain <= 0 {
-		return fmt.Errorf("invariant: chunk grain %d, want > 0", grain)
-	}
-	wantChunks := (n + grain - 1) / grain
-	if len(chunkDep) != wantChunks {
-		return fmt.Errorf("invariant: %d chunk dep bounds for %d chunks", len(chunkDep), wantChunks)
-	}
-	var pos []int32
-	if order != nil {
-		pos = make([]int32, n)
-		for p, v := range order {
-			pos[v] = int32(p)
-		}
-	}
-	for c := 0; c < wantChunks; c++ {
-		start := c * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		bound := int32(-1)
-		for p := start; p < end; p++ {
-			v := int32(p)
-			if order != nil {
-				v = order[p]
-			}
-			for _, a := range g.Arcs(v) {
-				tp := a.Head
-				if pos != nil {
-					tp = pos[a.Head]
-				}
-				if int(tp) >= p {
-					return fmt.Errorf("invariant: sweep order not topological: position %d depends on position %d", p, tp)
-				}
-				if int(tp) < start && tp > bound {
-					bound = tp
-				}
-			}
-		}
-		want := int32(-1)
-		if bound >= 0 {
-			want = bound / int32(grain)
-		}
-		if chunkDep[c] != want {
-			return fmt.Errorf("invariant: chunkDep[%d] = %d, recompute says %d", c, chunkDep[c], want)
-		}
-		if chunkDep[c] >= int32(c) {
-			return fmt.Errorf("invariant: chunkDep[%d] = %d not strictly below its own chunk", c, chunkDep[c])
-		}
-	}
-	return nil
-}
-
-// ChunkDepsAt is ChunkDeps for variable chunk boundaries: chunkStart
-// (length numChunks+1, spanning [0,n), strictly increasing) replaces
-// the uniform grain, and chunkDep[c] must be the chunk containing the
-// highest-positioned external predecessor of chunk c (or -1). This is
-// the shape the cache-budget chunking produces; uniform grains are the
-// special case chunkStart = 0, grain, 2·grain, …
+// graph and the sweep order. chunkStart (length numChunks+1, spanning
+// [0,n), strictly increasing) gives the chunk boundaries, and
+// chunkDep[c] must be the chunk containing the highest-positioned
+// external predecessor of any vertex in chunk c (or -1 when every
+// predecessor is internal). This is the shape the cache-budget
+// chunking produces; uniform grains are the special case chunkStart =
+// 0, grain, 2·grain, … Along the way it re-proves the property the
+// scheduler's correctness rests on: the sweep order is topological for
+// the downward graph, so every incoming arc's tail sits at a strictly
+// earlier position.
 func ChunkDepsAt(g *graph.Graph, order []int32, chunkStart []int32, chunkDep []int32) error {
 	n := g.NumVertices()
 	numChunks := len(chunkStart) - 1

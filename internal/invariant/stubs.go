@@ -33,9 +33,6 @@ func CustomizedMetric(h *ch.Hierarchy) error { return nil }
 // PackedStream is a release-build no-op; see the phastdebug flavor.
 func PackedStream(p *graph.Packed, g *graph.Graph, order []int32) error { return nil }
 
-// ChunkDeps is a release-build no-op; see the phastdebug flavor.
-func ChunkDeps(g *graph.Graph, order []int32, grain int, chunkDep []int32) error { return nil }
-
 // ChunkDepsAt is a release-build no-op; see the phastdebug flavor.
 func ChunkDepsAt(g *graph.Graph, order []int32, chunkStart []int32, chunkDep []int32) error {
 	return nil

@@ -17,9 +17,12 @@
 // paper gives each core its own sources (Section V), and the executors
 // — GOMAXPROCS of them by default — are those cores, so a batch never
 // waits on the chunk scheduler's dependency frontier or pays its
-// hand-offs. Results are copied into pooled buffers via
-// CopyLaneDistances, so callers never alias engine state and engines
-// are immediately reusable.
+// hand-offs. Each sub-sweep's trees are copied into pooled buffers by
+// one core.Engine.CopyLanes call, which de-interleaves the vertex-major
+// labels a lane group at a time, so callers never alias engine state
+// and engines are immediately reusable. A request's context is checked
+// before the sweep and again at delivery; a request canceled in
+// between was swept and copied, and its buffer goes back to the pool.
 //
 // # Metric epochs
 //
@@ -205,7 +208,9 @@ type Stats struct {
 	// Rejected counts ErrOverloaded rejections (RejectOnFull only).
 	Rejected uint64
 	// Canceled counts requests whose context was canceled before their
-	// result was copied out.
+	// result was delivered: checked once before the sweep, which drops
+	// the request from it, and once at delivery, after the copy-out,
+	// which returns its already-filled buffer to the pool.
 	Canceled uint64
 	// Batches is the number of multi-source sweeps executed.
 	Batches uint64
@@ -220,6 +225,11 @@ type Stats struct {
 	// multi-source sweeps (summed across engines, so it can exceed the
 	// server's elapsed time under parallel batches).
 	SweepSeconds float64
+	// CopySeconds is the total wall time executors spent drawing result
+	// buffers from the pool and copying swept trees into them (one
+	// core.Engine.CopyLanes call per sub-sweep), summed across engines
+	// like SweepSeconds.
+	CopySeconds float64
 	// SweepBytes is the modeled memory traffic of those sweeps
 	// (core.Engine.SweepBytes, k-lane aware).
 	SweepBytes uint64
@@ -304,6 +314,7 @@ type TreeServer struct {
 	queueDepth atomic.Int64
 	queueHW    atomic.Int64
 	sweepNanos atomic.Uint64
+	copyNanos  atomic.Uint64
 	sweepBytes atomic.Uint64
 }
 
@@ -538,6 +549,7 @@ func (s *TreeServer) Stats() Stats {
 	}
 	st.MetricSwaps = s.metricSwaps.Load()
 	st.SweepSeconds = float64(s.sweepNanos.Load()) / 1e9
+	st.CopySeconds = float64(s.copyNanos.Load()) / 1e9
 	st.SweepBytes = s.sweepBytes.Load()
 	if st.SweepSeconds > 0 {
 		st.SweepGBps = float64(st.SweepBytes) / st.SweepSeconds / 1e9
@@ -631,6 +643,8 @@ func (s *TreeServer) executor(idx int) {
 	sources := make([]int32, 0, s.opt.MaxBatch)
 	live := make([]request, 0, s.opt.MaxBatch)
 	group := make([]request, 0, s.opt.MaxBatch)
+	ress := make([]*TreeResult, 0, s.opt.MaxBatch)
+	bufs := make([][]uint32, 0, s.opt.MaxBatch)
 	for batch := range s.batches {
 		testHookBatchStart()
 		live = live[:0]
@@ -674,22 +688,32 @@ func (s *TreeServer) executor(idx int) {
 			}
 			sweepStart := time.Now()
 			eng.MultiTree(sources, false)
-			s.sweepNanos.Add(uint64(time.Since(sweepStart).Nanoseconds()))
+			copyStart := time.Now()
+			s.sweepNanos.Add(uint64(copyStart.Sub(sweepStart).Nanoseconds()))
 			s.sweepBytes.Add(uint64(eng.SweepBytes(len(sources))))
 			s.batchCount.Add(1)
 			s.occupancy.Add(uint64(len(group)))
-			for i, r := range group {
-				if err := r.ctx.Err(); err != nil {
-					s.canceled.Add(1)
-					r.done <- result{err: err}
-					continue
-				}
+			ress, bufs = ress[:0], bufs[:0]
+			for _, r := range group {
 				res := s.resultPool.Get().(*TreeResult)
 				res.srv = s
 				res.source = r.source
 				res.epoch = set.epoch
 				res.metric = set.name
-				eng.CopyLaneDistances(i, res.dist)
+				ress = append(ress, res)
+				bufs = append(bufs, res.dist)
+			}
+			eng.CopyLanes(bufs)
+			s.copyNanos.Add(uint64(time.Since(copyStart).Nanoseconds()))
+			for i, r := range group {
+				res := ress[i]
+				ress[i], bufs[i] = nil, nil // res now belongs to its caller or the pool
+				if err := r.ctx.Err(); err != nil {
+					s.canceled.Add(1)
+					res.Release()
+					r.done <- result{err: err}
+					continue
+				}
 				// Count before delivering, so a caller that has its
 				// result also sees it in Stats().Queries.
 				s.queries.Add(1)
