@@ -1,25 +1,20 @@
 // Command benchsmoke is the CI benchmark smoke check, one gate per
 // mode:
 //
-//   - sweep: times the packed single-tree and k=16 sweeps against a
-//     sequential stream over the same downward graph (the Section
-//     VIII-B lower bound) on the europe-m fixture (same DFS layout and
-//     source stream as the root bench_test.go), in interleaved rounds.
-//     It exits non-zero if the median ns per tree ÷ stream time exceeds
-//     tolerance × the baseline recorded in the report at -out, and
-//     writes the report there with that baseline carried forward.
+//   - sweep: times the packed single-tree and k=16 sweeps, sequential
+//     and on the persistent dependency-bounded scheduler (max(2, NumCPU)
+//     workers), against a sequential stream over the same downward
+//     graph (the Section VIII-B lower bound) on the europe-m fixture
+//     (same DFS layout and source stream as the root bench_test.go), in
+//     interleaved rounds. It exits non-zero if a median ns per tree ÷
+//     stream time exceeds its tolerance (-tolerance for the sequential
+//     sweeps, -sched-tolerance for the pooled ones) × the baseline
+//     recorded in the report at -out, and writes the report there with
+//     that baseline carried forward.
 //   - chbuild: times batch-parallel CH preprocessing at Workers 1 and
 //     NumCPU on the same fixture graph, writes BENCH_4.json, and exits
 //     non-zero if the parallel build is slower than the sequential one
 //     (on a multi-core host) or the shortcut count drifts more than 5%.
-//   - sched: times the persistent dependency-bounded chunk scheduler
-//     against the retained per-level fork-join oracle (single-tree and
-//     k=16 multi-tree), writes BENCH_5.json, and exits non-zero if the
-//     pooled scheduler is slower than fork-join beyond the sched
-//     tolerance. On a multi-core host it also records the pooled
-//     scheduler's parallel speedup over one worker; that half
-//     auto-skips on single-CPU hosts, where both configurations
-//     degenerate to one goroutine.
 //   - customize: times metric customization (triangle relaxation plus
 //     mounting the customized hierarchy as a pool-sharing engine)
 //     against a full from-scratch customizable build plus engine, on
@@ -44,10 +39,9 @@
 //
 // Usage:
 //
-//	benchsmoke                       run all gates, write BENCH_3..6 and BENCH_8.json
-//	benchsmoke -mode sweep -out report.json -tolerance 1.10
+//	benchsmoke                       run all gates, write BENCH_3, 4, 6 and 8.json
+//	benchsmoke -mode sweep -out report.json -tolerance 1.15 -sched-tolerance 1.10
 //	benchsmoke -mode chbuild -chbuild-out BENCH_4.json
-//	benchsmoke -mode sched -sched-out BENCH_5.json -sched-tolerance 1.10
 //	benchsmoke -mode customize -customize-out BENCH_6.json
 //	benchsmoke -mode snapshot -snapshot-out BENCH_8.json -snapshot-speedup 50
 package main
@@ -78,22 +72,30 @@ import (
 
 // SweepRound is one round of the sweep gate: the fastest burst of
 // bandwidth.Sequential passes over the fixture's downward graph, and of
-// the packed single-tree and k=16 sweeps on the round's fresh engines.
+// the packed single-tree and k=16 sweeps, sequential and pooled, on the
+// round's fresh engines.
 type SweepRound struct {
-	StreamNs       float64 `json:"stream_ns"`
-	TreeNsPerTree  float64 `json:"tree_ns_per_tree"`
-	MultiNsPerTree float64 `json:"multi_k16_ns_per_tree"`
-	RatioTree      float64 `json:"ratio_tree"`
-	RatioMulti     float64 `json:"ratio_multi_k16"`
+	StreamNs             float64 `json:"stream_ns"`
+	TreeNsPerTree        float64 `json:"tree_ns_per_tree"`
+	MultiNsPerTree       float64 `json:"multi_k16_ns_per_tree"`
+	TreePooledNsPerTree  float64 `json:"tree_pooled_ns_per_tree"`
+	MultiPooledNsPerTree float64 `json:"multi_k16_pooled_ns_per_tree"`
+	RatioTree            float64 `json:"ratio_tree"`
+	RatioMulti           float64 `json:"ratio_multi_k16"`
+	RatioTreePooled      float64 `json:"ratio_tree_pooled"`
+	RatioMultiPooled     float64 `json:"ratio_multi_k16_pooled"`
 }
 
 // SweepBaseline is the recorded reference the sweep gate compares
 // against: median ns per tree ÷ stream time, for one tree and per tree
-// of a k=16 sweep, with the toolchain that recorded them.
+// of a k=16 sweep, sequential and pooled, with the toolchain that
+// recorded them.
 type SweepBaseline struct {
-	GoVersion  string  `json:"go_version"`
-	RatioTree  float64 `json:"ratio_tree"`
-	RatioMulti float64 `json:"ratio_multi_k16"`
+	GoVersion        string  `json:"go_version"`
+	RatioTree        float64 `json:"ratio_tree"`
+	RatioMulti       float64 `json:"ratio_multi_k16"`
+	RatioTreePooled  float64 `json:"ratio_tree_pooled"`
+	RatioMultiPooled float64 `json:"ratio_multi_k16_pooled"`
 }
 
 // Report is the BENCH_3.json schema: the sweep gate. Dividing each
@@ -106,12 +108,17 @@ type Report struct {
 	Instance  string `json:"instance"`
 	N         int    `json:"n"`
 	M         int    `json:"m"`
-	// RatioTree and RatioMulti are the medians over rounds of ns per
-	// tree ÷ stream time; Baseline is carried forward unchanged.
-	RatioTree  float64       `json:"ratio_tree"`
-	RatioMulti float64       `json:"ratio_multi_k16"`
-	Baseline   SweepBaseline `json:"baseline"`
-	Rounds     []SweepRound  `json:"rounds"`
+	// PooledWorkers is the worker count of the pooled sweeps:
+	// max(2, NumCPU), so the scheduler engages even on one CPU.
+	PooledWorkers int `json:"pooled_workers"`
+	// The ratios are the medians over rounds of ns per tree ÷ stream
+	// time; Baseline is carried forward unchanged.
+	RatioTree        float64       `json:"ratio_tree"`
+	RatioMulti       float64       `json:"ratio_multi_k16"`
+	RatioTreePooled  float64       `json:"ratio_tree_pooled"`
+	RatioMultiPooled float64       `json:"ratio_multi_k16_pooled"`
+	Baseline         SweepBaseline `json:"baseline"`
+	Rounds           []SweepRound  `json:"rounds"`
 }
 
 func fixtureGraph(preset roadnet.Preset) (*graph.Graph, error) {
@@ -137,8 +144,8 @@ func buildFixture(preset roadnet.Preset) (*graph.Graph, *ch.Hierarchy, []int32, 
 	return g, h, sources, nil
 }
 
-func engine(h *ch.Hierarchy) (*core.Engine, error) {
-	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: 1})
+func engine(h *ch.Hierarchy, workers int) (*core.Engine, error) {
+	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: workers})
 }
 
 // rounds is how many interleaved A/B measurements each cell gets; the
@@ -170,31 +177,6 @@ func burstNs(ops int, fn func()) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(ops)
 }
 
-// benchTree times single-tree sweeps once and returns ns/op plus the
-// modeled bandwidth at that speed.
-func benchTree(e *core.Engine, sources []int32) (float64, float64) {
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.Tree(sources[i%len(sources)])
-		}
-	})
-	return float64(r.NsPerOp()), bandwidth.GBps(e.SweepBytes(1)*int64(r.N), r.T)
-}
-
-// benchMulti times k-tree sweeps once (one op grows k trees).
-func benchMulti(e *core.Engine, sources []int32, k int) (float64, float64) {
-	batch := make([]int32, k)
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range batch {
-				batch[j] = sources[(i*k+j)%len(sources)]
-			}
-			e.MultiTree(batch, false)
-		}
-	})
-	return float64(r.NsPerOp()), bandwidth.GBps(e.SweepBytes(k)*int64(r.N), r.T)
-}
-
 // median returns the median of xs (the mean of the middle pair for an
 // even count). xs is reordered.
 func median(xs []float64) float64 {
@@ -224,6 +206,9 @@ func readSweepBaseline(path string) (base SweepBaseline, ok bool, err error) {
 	if rep.Baseline.RatioTree <= 0 || rep.Baseline.RatioMulti <= 0 {
 		return base, false, fmt.Errorf("%s records no sweep baseline", path)
 	}
+	if rep.Baseline.RatioTreePooled <= 0 || rep.Baseline.RatioMultiPooled <= 0 {
+		return base, false, fmt.Errorf("%s records no pooled sweep baseline", path)
+	}
 	return rep.Baseline, true, nil
 }
 
@@ -231,11 +216,13 @@ func readSweepBaseline(path string) (base SweepBaseline, ok bool, err error) {
 // times, in rotating order and in short interleaved bursts, a
 // sequential stream over the fixture's downward graph
 // (bandwidth.Sequential, the Section VIII-B lower bound) and the packed
-// single-tree and k=16 sweeps. The gated quantities are the medians
-// over rounds of ns per tree ÷ stream time; each must stay within
-// tolerance × the baseline recorded in the report at out. Without a
-// report there, this run's medians become the baseline.
-func runSweep(out, preset string, tolerance float64) error {
+// single-tree and k=16 sweeps, sequential and on the persistent
+// scheduler. The gated quantities are the medians over rounds of ns per
+// tree ÷ stream time; each must stay within its tolerance (tolerance
+// for the sequential sweeps, pooledTolerance for the pooled ones) × the
+// baseline recorded in the report at out. Without a report there, this
+// run's medians become the baseline.
+func runSweep(out, preset string, tolerance, pooledTolerance float64) error {
 	base, haveBase, err := readSweepBaseline(out)
 	if err != nil {
 		return err
@@ -245,32 +232,48 @@ func runSweep(out, preset string, tolerance float64) error {
 		return err
 	}
 	rep := Report{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Instance:  preset + "/dfs",
-		N:         g.NumVertices(),
-		M:         g.NumArcs(),
+		GoVersion:     runtime.Version(),
+		GOARCH:        runtime.GOARCH,
+		Instance:      preset + "/dfs",
+		N:             g.NumVertices(),
+		M:             g.NumArcs(),
+		PooledWorkers: max(2, runtime.NumCPU()),
 	}
 	dist := make([]uint32, g.NumVertices())
 	const k = 16
 	batch := make([]int32, k)
-	var ratioTree, ratioMulti []float64
+	var ratioTree, ratioMulti, ratioTreePooled, ratioMultiPooled []float64
 	for r := 0; r < sweepRounds; r++ {
-		tree, err := engine(h)
-		if err != nil {
-			return err
+		var engs [4]*core.Engine // tree, multi, tree pooled, multi pooled
+		for i := range engs {
+			workers := 1
+			if i >= 2 {
+				workers = rep.PooledWorkers
+			}
+			if engs[i], err = engine(h, workers); err != nil {
+				return err
+			}
 		}
-		multi, err := engine(h)
-		if err != nil {
-			return err
-		}
+		tree, multi, treePooled, multiPooled := engs[0], engs[1], engs[2], engs[3]
 		downIn := tree.Hierarchy().DownIn
 		next := 0 // source cursor, shared so every burst sees new sources
 		src := func() int32 { next++; return sources[next%len(sources)] }
 		// Warm-up: first-touch faults and the k·n label allocation.
 		tree.Tree(src())
 		multi.MultiTree(sources[:k], false)
-		round := SweepRound{StreamNs: math.Inf(1), TreeNsPerTree: math.Inf(1), MultiNsPerTree: math.Inf(1)}
+		treePooled.TreeParallel(src())
+		multiPooled.MultiTreeParallel(sources[:k], false)
+		inf := math.Inf(1)
+		round := SweepRound{StreamNs: inf, TreeNsPerTree: inf, MultiNsPerTree: inf,
+			TreePooledNsPerTree: inf, MultiPooledNsPerTree: inf}
+		multiBurst := func(sweep func([]int32, bool)) float64 {
+			return burstNs(2, func() {
+				for j := range batch {
+					batch[j] = src()
+				}
+				sweep(batch, false)
+			}) / k
+		}
 		steps := []func(){
 			func() {
 				round.StreamNs = min(round.StreamNs, burstNs(32, func() { bandwidth.Sequential(downIn, dist, 1) }))
@@ -279,13 +282,13 @@ func runSweep(out, preset string, tolerance float64) error {
 				round.TreeNsPerTree = min(round.TreeNsPerTree, burstNs(8, func() { tree.Tree(src()) }))
 			},
 			func() {
-				ns := burstNs(2, func() {
-					for j := range batch {
-						batch[j] = src()
-					}
-					multi.MultiTree(batch, false)
-				})
-				round.MultiNsPerTree = min(round.MultiNsPerTree, ns/k)
+				round.MultiNsPerTree = min(round.MultiNsPerTree, multiBurst(multi.MultiTree))
+			},
+			func() {
+				round.TreePooledNsPerTree = min(round.TreePooledNsPerTree, burstNs(8, func() { treePooled.TreeParallel(src()) }))
+			},
+			func() {
+				round.MultiPooledNsPerTree = min(round.MultiPooledNsPerTree, multiBurst(multiPooled.MultiTreeParallel))
 			},
 		}
 		for b := 0; b < sweepBursts; b++ {
@@ -295,14 +298,21 @@ func runSweep(out, preset string, tolerance float64) error {
 		}
 		round.RatioTree = round.TreeNsPerTree / round.StreamNs
 		round.RatioMulti = round.MultiNsPerTree / round.StreamNs
+		round.RatioTreePooled = round.TreePooledNsPerTree / round.StreamNs
+		round.RatioMultiPooled = round.MultiPooledNsPerTree / round.StreamNs
 		rep.Rounds = append(rep.Rounds, round)
 		ratioTree = append(ratioTree, round.RatioTree)
 		ratioMulti = append(ratioMulti, round.RatioMulti)
+		ratioTreePooled = append(ratioTreePooled, round.RatioTreePooled)
+		ratioMultiPooled = append(ratioMultiPooled, round.RatioMultiPooled)
 	}
 	rep.RatioTree = median(ratioTree)
 	rep.RatioMulti = median(ratioMulti)
+	rep.RatioTreePooled = median(ratioTreePooled)
+	rep.RatioMultiPooled = median(ratioMultiPooled)
 	if !haveBase {
-		base = SweepBaseline{GoVersion: rep.GoVersion, RatioTree: rep.RatioTree, RatioMulti: rep.RatioMulti}
+		base = SweepBaseline{GoVersion: rep.GoVersion, RatioTree: rep.RatioTree, RatioMulti: rep.RatioMulti,
+			RatioTreePooled: rep.RatioTreePooled, RatioMultiPooled: rep.RatioMultiPooled}
 		fmt.Printf("sweep: no report at %s; recording this run as the baseline\n", out)
 	}
 	rep.Baseline = base
@@ -315,17 +325,29 @@ func runSweep(out, preset string, tolerance float64) error {
 		return err
 	}
 	for i, r := range rep.Rounds {
-		fmt.Printf("round %d: stream %9.0f ns, tree %9.0f ns (%.3fx), k=16 %9.0f ns/tree (%.3fx)\n",
-			i, r.StreamNs, r.TreeNsPerTree, r.RatioTree, r.MultiNsPerTree, r.RatioMulti)
+		fmt.Printf("round %d: stream %9.0f ns, tree %9.0f ns (%.3fx), k=16 %9.0f ns/tree (%.3fx), pooled tree %9.0f ns (%.3fx), pooled k=16 %9.0f ns/tree (%.3fx)\n",
+			i, r.StreamNs, r.TreeNsPerTree, r.RatioTree, r.MultiNsPerTree, r.RatioMulti,
+			r.TreePooledNsPerTree, r.RatioTreePooled, r.MultiPooledNsPerTree, r.RatioMultiPooled)
 	}
 	fmt.Printf("sweep/stream median: %.3fx single-tree, %.3fx k=16 per tree (baseline %.3fx, %.3fx from %s; gate: ≤ %.2f × baseline)\n",
 		rep.RatioTree, rep.RatioMulti, base.RatioTree, base.RatioMulti, base.GoVersion, tolerance)
+	fmt.Printf("pooled sweep/stream median at %d workers: %.3fx single-tree, %.3fx k=16 per tree (baseline %.3fx, %.3fx; gate: ≤ %.2f × baseline)\n",
+		rep.PooledWorkers, rep.RatioTreePooled, rep.RatioMultiPooled, base.RatioTreePooled, base.RatioMultiPooled, pooledTolerance)
+	fmt.Printf("pooled single-tree speedup over sequential: %.3fx (not gated)\n", rep.RatioTree/rep.RatioTreePooled)
 
-	if rep.RatioTree > base.RatioTree*tolerance {
-		return fmt.Errorf("single-tree sweep is %.3fx the stream time, baseline %.3fx (tolerance %.2f)", rep.RatioTree, base.RatioTree, tolerance)
+	gates := []struct {
+		name           string
+		got, base, tol float64
+	}{
+		{"single-tree sweep", rep.RatioTree, base.RatioTree, tolerance},
+		{"k=16 sweep", rep.RatioMulti, base.RatioMulti, tolerance},
+		{"pooled single-tree sweep", rep.RatioTreePooled, base.RatioTreePooled, pooledTolerance},
+		{"pooled k=16 sweep", rep.RatioMultiPooled, base.RatioMultiPooled, pooledTolerance},
 	}
-	if rep.RatioMulti > base.RatioMulti*tolerance {
-		return fmt.Errorf("k=16 sweep is %.3fx the stream time per tree, baseline %.3fx (tolerance %.2f)", rep.RatioMulti, base.RatioMulti, tolerance)
+	for _, gt := range gates {
+		if gt.got > gt.base*gt.tol {
+			return fmt.Errorf("%s is %.3fx the stream time per tree, baseline %.3fx (tolerance %.2f)", gt.name, gt.got, gt.base, gt.tol)
+		}
 	}
 	return nil
 }
@@ -436,176 +458,6 @@ func runCHBuild(out, preset string, tolerance float64) error {
 	if par.BuildMs > seq.BuildMs*tolerance {
 		return fmt.Errorf("parallel build (%d workers) is %.3fx sequential time (tolerance %.2f)",
 			par.Workers, par.BuildMs/seq.BuildMs, tolerance)
-	}
-	return nil
-}
-
-// SchedResult is one measured scheduler configuration.
-type SchedResult struct {
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	NsPerTree   float64 `json:"ns_per_tree"`
-	ModeledGBps float64 `json:"modeled_gbps"`
-}
-
-// SchedReport is the BENCH_5.json schema: the persistent-scheduler gate.
-type SchedReport struct {
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	Instance  string `json:"instance"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	// Workers is the worker count of the pooled-vs-fork-join comparison:
-	// max(2, NumCPU), so the scheduling machinery engages even on a
-	// single-CPU host (two goroutines timeslicing one core).
-	Workers int `json:"workers"`
-	// RatioTree and RatioMulti are pooled time over fork-join time (<1
-	// means the persistent scheduler wins); the gate fails when either
-	// exceeds the sched tolerance.
-	RatioTree  float64 `json:"ratio_pooled_vs_forkjoin_tree"`
-	RatioMulti float64 `json:"ratio_pooled_vs_forkjoin_multi_k16"`
-	// SpeedupParallel is one-worker time over pooled NumCPU-worker time
-	// for the single-tree sweep (>1 means parallelism pays); 0 when the
-	// half was skipped on a single-CPU host.
-	SpeedupParallel float64       `json:"speedup_parallel_tree"`
-	Results         []SchedResult `json:"results"`
-}
-
-func schedEngine(h *ch.Hierarchy, workers int, forkJoin bool) (*core.Engine, error) {
-	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: workers, ForkJoinSweep: forkJoin})
-}
-
-// benchTreeParallel times parallel single-tree sweeps.
-func benchTreeParallel(e *core.Engine, sources []int32) (float64, float64) {
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.TreeParallel(sources[i%len(sources)])
-		}
-	})
-	return float64(r.NsPerOp()), bandwidth.GBps(e.SweepBytes(1)*int64(r.N), r.T)
-}
-
-// benchMultiParallel times parallel k-tree sweeps (one op grows k trees).
-func benchMultiParallel(e *core.Engine, sources []int32, k int) (float64, float64) {
-	batch := make([]int32, k)
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range batch {
-				batch[j] = sources[(i*k+j)%len(sources)]
-			}
-			e.MultiTreeParallel(batch, false)
-		}
-	})
-	return float64(r.NsPerOp()), bandwidth.GBps(e.SweepBytes(k)*int64(r.N), r.T)
-}
-
-// measureSched runs `rounds` interleaved fresh-engine A/B rounds of fn
-// over the pooled scheduler and the fork-join oracle at the same worker
-// count, returning each side's best cell.
-func measureSched(h *ch.Hierarchy, name string, workers, k int, warm []int32,
-	fn func(e *core.Engine) (float64, float64)) (pooled, fj SchedResult, err error) {
-	pooled = SchedResult{Name: name + "_pooled", Workers: workers, NsPerOp: math.Inf(1)}
-	fj = SchedResult{Name: name + "_forkjoin", Workers: workers, NsPerOp: math.Inf(1)}
-	for r := 0; r < rounds; r++ {
-		variants := []bool{false, true} // forkJoin flag
-		if r%2 == 1 {                   // alternate construction and run order
-			variants[0], variants[1] = variants[1], variants[0]
-		}
-		for _, forkJoin := range variants {
-			e, err := schedEngine(h, workers, forkJoin)
-			if err != nil {
-				return pooled, fj, err
-			}
-			e.TreeParallel(warm[0]) // pay first-touch faults outside the timer
-			ns, gbps := fn(e)
-			res := &pooled
-			if forkJoin {
-				res = &fj
-			}
-			if ns < res.NsPerOp {
-				res.NsPerOp = ns
-				res.NsPerTree = ns / float64(k)
-				res.ModeledGBps = gbps
-			}
-		}
-	}
-	return pooled, fj, nil
-}
-
-func runSched(out, preset string, tolerance float64) error {
-	g, h, sources, err := buildFixture(roadnet.Preset(preset))
-	if err != nil {
-		return err
-	}
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	rep := SchedReport{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Instance:  preset + "/dfs",
-		N:         g.NumVertices(),
-		M:         g.NumArcs(),
-		Workers:   workers,
-	}
-
-	pt, ft, err := measureSched(h, "Sched_Tree", workers, 1, sources,
-		func(e *core.Engine) (float64, float64) { return benchTreeParallel(e, sources) })
-	if err != nil {
-		return err
-	}
-	pm, fm, err := measureSched(h, "Sched_MultiTree_k16", workers, 16, sources,
-		func(e *core.Engine) (float64, float64) { return benchMultiParallel(e, sources, 16) })
-	if err != nil {
-		return err
-	}
-	rep.Results = []SchedResult{pt, ft, pm, fm}
-	rep.RatioTree = pt.NsPerTree / ft.NsPerTree
-	rep.RatioMulti = pm.NsPerTree / fm.NsPerTree
-
-	// Speedup half: pooled at NumCPU workers against a single worker
-	// (the sequential kernels). Meaningless when there is one CPU.
-	if runtime.NumCPU() > 1 {
-		one, err := schedEngine(h, 1, false)
-		if err != nil {
-			return err
-		}
-		one.TreeParallel(sources[0])
-		seqNs, seqGBps := benchTreeParallel(one, sources)
-		seq := SchedResult{Name: "Sched_Tree_1worker", Workers: 1,
-			NsPerOp: seqNs, NsPerTree: seqNs, ModeledGBps: seqGBps}
-		rep.Results = append(rep.Results, seq)
-		rep.SpeedupParallel = seq.NsPerTree / pt.NsPerTree
-	}
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-28s w=%-3d %12.0f ns/op %12.0f ns/tree %8.2f modeled GB/s\n",
-			r.Name, r.Workers, r.NsPerOp, r.NsPerTree, r.ModeledGBps)
-	}
-	fmt.Printf("sched pooled/forkjoin: %.3fx single-tree, %.3fx multi k=16 (gate: ratio ≤ %.2f)\n",
-		rep.RatioTree, rep.RatioMulti, tolerance)
-	if rep.SpeedupParallel > 0 {
-		fmt.Printf("sched parallel speedup: %.3fx at %d workers over 1\n", rep.SpeedupParallel, workers)
-	} else {
-		fmt.Println("sched: single-CPU host, parallel speedup half skipped")
-	}
-
-	if rep.RatioTree > tolerance {
-		return fmt.Errorf("pooled single-tree sweep is %.3fx fork-join time (tolerance %.2f)", rep.RatioTree, tolerance)
-	}
-	if rep.RatioMulti > tolerance {
-		return fmt.Errorf("pooled multi-tree sweep is %.3fx fork-join time (tolerance %.2f)", rep.RatioMulti, tolerance)
 	}
 	return nil
 }
@@ -970,7 +822,7 @@ func runSnapshot(out, preset string, minSpeedup, shardTolerance float64, shards 
 
 func main() {
 	var (
-		mode = flag.String("mode", "all", "which gates to run: sweep, chbuild, sched, customize, snapshot, or all")
+		mode = flag.String("mode", "all", "which gates to run: sweep, chbuild, customize, snapshot, or all")
 		out  = flag.String("out", "BENCH_3.json", "sweep report path")
 		// 1.15 rather than a tight 1.02: shared CI hosts show ±10%
 		// run-to-run jitter even with interleaved fresh-engine rounds,
@@ -980,12 +832,10 @@ func main() {
 		// carry the actual measurements.
 		tolerance  = flag.Float64("tolerance", 1.15, "max allowed sweep/stream ratio over its recorded baseline (and parallel/sequential build time ratio) before failing")
 		chbuildOut = flag.String("chbuild-out", "BENCH_4.json", "chbuild report path")
-		schedOut   = flag.String("sched-out", "BENCH_5.json", "sched report path")
-		// The sched gate compares two parallel drivers over identical
-		// kernels, so run-to-run jitter is smaller than between two
-		// kernel designs; 1.10 keeps the pooled scheduler honestly at
-		// least as fast as the barrier code it replaced.
-		schedTolerance = flag.Float64("sched-tolerance", 1.10, "max allowed pooled/fork-join time ratio before failing")
+		// 1.10, the tolerance of the pooled-vs-fork-join gate the pooled
+		// rows of the sweep gate replaced: retiring that gate must not
+		// loosen what the pooled scheduler is held to.
+		schedTolerance = flag.Float64("sched-tolerance", 1.10, "max allowed pooled sweep/stream ratio over its recorded baseline before failing")
 		preset         = flag.String("preset", "europe-m", "roadnet instance preset")
 		customizeOut   = flag.String("customize-out", "BENCH_6.json", "customize report path")
 		// 0.20: customization must cost at most a fifth of the full
@@ -1010,9 +860,8 @@ func main() {
 	)
 	flag.Parse()
 	runs := map[string]func() error{
-		"sweep":     func() error { return runSweep(*out, *preset, *tolerance) },
+		"sweep":     func() error { return runSweep(*out, *preset, *tolerance, *schedTolerance) },
 		"chbuild":   func() error { return runCHBuild(*chbuildOut, *preset, *tolerance) },
-		"sched":     func() error { return runSched(*schedOut, *preset, *schedTolerance) },
 		"customize": func() error { return runCustomize(*customizeOut, *customizePreset, *customizeTolerance) },
 		"snapshot": func() error {
 			return runSnapshot(*snapshotOut, *preset, *snapshotSpeedup, *snapshotShardTolerance, *snapshotShards)
@@ -1021,11 +870,11 @@ func main() {
 	var selected []func() error
 	switch *mode {
 	case "all":
-		selected = []func() error{runs["sweep"], runs["chbuild"], runs["sched"], runs["customize"], runs["snapshot"]}
-	case "sweep", "chbuild", "sched", "customize", "snapshot":
+		selected = []func() error{runs["sweep"], runs["chbuild"], runs["customize"], runs["snapshot"]}
+	case "sweep", "chbuild", "customize", "snapshot":
 		selected = []func() error{runs[*mode]}
 	default:
-		fmt.Fprintf(os.Stderr, "benchsmoke: unknown -mode %q (sweep, chbuild, sched, customize, snapshot, all)\n", *mode)
+		fmt.Fprintf(os.Stderr, "benchsmoke: unknown -mode %q (sweep, chbuild, customize, snapshot, all)\n", *mode)
 		os.Exit(2)
 	}
 	for _, fn := range selected {

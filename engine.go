@@ -22,11 +22,6 @@ type Options struct {
 	// SweepMode overrides the sweep order; the default is the fully
 	// reordered layout of Section IV-A. Exposed for experiments.
 	SweepMode SweepMode
-	// ForkJoinSweep routes parallel sweeps through the original
-	// per-level fork-join barriers instead of the persistent
-	// dependency-bounded chunk scheduler. Retained as a differential
-	// oracle and A/B baseline.
-	ForkJoinSweep bool
 	// ParallelGrain pins the scheduler chunk size in sweep positions.
 	// 0 (the default) sizes chunks by a byte budget instead: the stream
 	// bytes each chunk spans stay within ChunkBytes, so a chunk's
@@ -42,7 +37,6 @@ func (o *Options) coreOptions() core.Options {
 	return core.Options{
 		Mode:          o.SweepMode,
 		Workers:       o.SweepWorkers,
-		ForkJoinSweep: o.ForkJoinSweep,
 		ParallelGrain: o.ParallelGrain,
 		ChunkBytes:    o.ChunkBytes,
 	}
@@ -268,9 +262,8 @@ func (e *Engine) Tree(source int32) { e.core.Tree(source) }
 
 // TreeParallel is Tree with the parallel sweep of Section V: the same
 // kernel as Tree, run chunk by chunk by the persistent
-// dependency-bounded scheduler (or between the per-level fork-join
-// barriers when Options.ForkJoinSweep is set). It falls back to Tree's
-// sequential sweep with one worker or a graph smaller than one chunk.
+// dependency-bounded scheduler. It falls back to Tree's sequential
+// sweep with one worker or a graph smaller than one chunk.
 func (e *Engine) TreeParallel(source int32) { e.core.TreeParallel(source) }
 
 // TreeWithParents is Tree plus parent pointers; enables PathTo.
@@ -312,7 +305,7 @@ func (e *Engine) Dist(v int32) uint32 { return e.core.Dist(v) }
 
 // Distances copies all n labels of the last tree into buf (indexed by
 // vertex ID; Inf marks unreached vertices).
-func (e *Engine) Distances(buf []uint32) { e.core.DistancesInto(buf) }
+func (e *Engine) Distances(buf []uint32) { e.core.CopyDistances(buf) }
 
 // PathTo expands the path from the last TreeWithParents source to v into
 // original-graph vertices, or nil if unreached.

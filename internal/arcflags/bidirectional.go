@@ -24,7 +24,7 @@ type Bidirectional struct {
 func PHASTForwardTrees(fwdEngine *core.Engine) ReverseTreeFunc {
 	return func(b int32, dist []uint32) {
 		fwdEngine.Tree(b)
-		fwdEngine.DistancesInto(dist)
+		fwdEngine.CopyDistances(dist)
 	}
 }
 

@@ -35,7 +35,7 @@ func DijkstraReverseTrees(g *graph.Graph) ReverseTreeFunc {
 func PHASTReverseTrees(revEngine *core.Engine) ReverseTreeFunc {
 	return func(b int32, dist []uint32) {
 		revEngine.Tree(b)
-		revEngine.DistancesInto(dist)
+		revEngine.CopyDistances(dist)
 	}
 }
 

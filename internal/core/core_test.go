@@ -418,7 +418,7 @@ func TestTreeWithoutParentsPanics(t *testing.T) {
 	e.PathTo(5)
 }
 
-func TestDistancesIntoAndAccessors(t *testing.T) {
+func TestCopyDistancesAndAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := gridGraph(rng, 5, 5, 10)
 	e := newEngine(t, g, Options{})
@@ -430,10 +430,10 @@ func TestDistancesIntoAndAccessors(t *testing.T) {
 		t.Fatalf("Source()=%d, want 7", e.Source())
 	}
 	buf := make([]uint32, g.NumVertices())
-	e.DistancesInto(buf)
+	e.CopyDistances(buf)
 	for v := range buf {
 		if buf[v] != e.Dist(int32(v)) {
-			t.Fatalf("DistancesInto mismatch at %d", v)
+			t.Fatalf("CopyDistances mismatch at %d", v)
 		}
 	}
 	if e.NumVertices() != 25 {

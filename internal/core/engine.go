@@ -73,10 +73,8 @@ func (m SweepMode) String() string {
 
 // DefaultParallelGrain is the historical fixed sweep chunk size (in
 // sweep positions). Chunks are now sized by a cache-derived byte budget
-// by default (Options.ChunkBytes); this constant survives as the
-// fallback level-size threshold below which the fork-join oracle stays
-// sequential, and as the fixed grain tests and oracles pin through
-// Options.ParallelGrain.
+// by default (Options.ChunkBytes); this constant survives as the fixed
+// grain tests pin through Options.ParallelGrain.
 const DefaultParallelGrain = 1024
 
 // Options configures engine construction.
@@ -88,11 +86,6 @@ type Options struct {
 	// pool goroutines at construction. 0 selects GOMAXPROCS. Adjustable
 	// later with Engine.SetWorkers.
 	Workers int
-	// ForkJoinSweep routes parallel sweeps through the original
-	// per-level fork-join barriers instead of the persistent
-	// dependency-bounded scheduler. Kept as a differential oracle and
-	// A/B baseline; production sweeps should leave it off.
-	ForkJoinSweep bool
 	// ParallelGrain, when positive, pins the chunk size in sweep
 	// positions — the historical fixed grain, kept for tests and
 	// oracles that need deterministic chunk boundaries. 0 (the default)
@@ -138,15 +131,11 @@ type shared struct {
 	// position grain (Options.ParallelGrain) or from the cache byte
 	// budget (Options.ChunkBytes), so chunk sizes may vary.
 	chunkStart []int32
-	// grain is the average chunk size in sweep positions, kept as the
-	// level-size threshold of the fork-join oracle.
-	grain     int32
-	numChunks int32
+	numChunks  int32
 	// chunkDep[c] is the chunk index the completion frontier must pass
 	// before chunk c may start (-1: no external dependency). Derived
 	// from (*graph.Packed).ChunkDepBoundsAt position bounds at construction.
 	chunkDep []int32
-	forkJoin bool
 	pool     *sched.Pool
 
 	// Snapshot provenance (parts.go): hold pins the backing mmap alive
@@ -196,7 +185,7 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 	if opt.ChunkBytes < 0 {
 		return nil, fmt.Errorf("core: ChunkBytes %d is negative", opt.ChunkBytes)
 	}
-	s := &shared{mode: opt.Mode, n: n, forkJoin: opt.ForkJoinSweep}
+	s := &shared{mode: opt.Mode, n: n}
 	switch opt.Mode {
 	case SweepReordered:
 		perm := layout.ByLevelDescending(h.Level)
@@ -267,10 +256,6 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 		s.chunkStart = s.packed.ChunkStartsByBytes(budget)
 	}
 	s.numChunks = int32(len(s.chunkStart) - 1)
-	s.grain = int32((n + int(s.numChunks) - 1) / int(s.numChunks))
-	if s.grain < 1 {
-		s.grain = 1
-	}
 	// Precompute the per-chunk dependency bounds the persistent
 	// scheduler starts chunks by (scheduler.go), walking the same
 	// words the workers will read.
@@ -331,10 +316,8 @@ func NewEngineSharingPool(e *Engine, h *ch.Hierarchy) (*Engine, error) {
 		toOrig:      old.toOrig,
 		pos:         old.pos,
 		chunkStart:  old.chunkStart,
-		grain:       old.grain,
 		numChunks:   old.numChunks,
 		chunkDep:    old.chunkDep,
-		forkJoin:    old.forkJoin,
 	}
 	if old.mode == SweepReordered {
 		hp, err := h.Permute(old.toEngine)
@@ -449,9 +432,6 @@ func (e *Engine) CopyDistances(buf []uint32) {
 		buf[orig] = e.dist[e.s.toEngine[orig]]
 	}
 }
-
-// DistancesInto is CopyDistances under its historical name.
-func (e *Engine) DistancesInto(buf []uint32) { e.CopyDistances(buf) }
 
 // Source returns the original ID of the last tree's source, or -1.
 func (e *Engine) Source() int32 {

@@ -24,20 +24,6 @@ func TestDistAfterMultiTreePanics(t *testing.T) {
 	_ = e.Dist(3)
 }
 
-func TestDistancesIntoAfterMultiTreePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := gridGraph(rng, 5, 5, 10)
-	e := newEngine(t, g, Options{})
-	e.MultiTree([]int32{1, 2}, false)
-	buf := make([]uint32, g.NumVertices())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DistancesInto after MultiTree did not panic")
-		}
-	}()
-	e.DistancesInto(buf)
-}
-
 // TestTreeAfterMultiTreeRecovers: a fresh single tree re-enables the
 // single-tree readers.
 func TestTreeAfterMultiTreeRecovers(t *testing.T) {

@@ -334,40 +334,6 @@ func TestSweepBytesPackedBelowLegacy(t *testing.T) {
 	}
 }
 
-// TestLegacyParallelBarrierRace keeps the legacy per-level barrier
-// sweep (ForkJoinSweep, the scheduler's differential oracle) under the
-// race detector, for single trees and a k=4 batch.
-func TestLegacyParallelBarrierRace(t *testing.T) {
-	h, n := raceHierarchy(t)
-	rng := rand.New(rand.NewSource(53))
-	e, err := NewEngine(h, Options{Workers: 4, ForkJoinSweep: true, ParallelGrain: DefaultParallelGrain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	levelsBigEnough(t, e)
-	s := int32(rng.Intn(n))
-	e.TreeParallel(s)
-	raceFixture.d.Run(s)
-	for v := int32(0); v < int32(n); v += 7 {
-		if got, want := e.Dist(v), raceFixture.d.Dist(v); got != want {
-			t.Fatalf("src %d: dist(%d)=%d, want %d", s, v, got, want)
-		}
-	}
-	sources := []int32{s, int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(n))}
-	e.MultiTreeParallel(sources, false)
-	for i, src := range sources {
-		raceFixture.d.Run(src)
-		for v := int32(0); v < int32(n); v += 11 {
-			if got, want := e.MultiDist(i, v), raceFixture.d.Dist(v); got != want {
-				t.Fatalf("lane %d src %d: dist(%d)=%d, want %d", i, src, v, got, want)
-			}
-		}
-	}
-	if st := e.SchedStats(); st.Sweeps != 0 {
-		t.Fatalf("fork-join engine ran %d pooled sweeps", st.Sweeps)
-	}
-}
-
 // TestPackedParallelStress interleaves packed parallel single- and
 // multi-tree sweeps on clones of one hierarchy, for the race detector.
 func TestPackedParallelStress(t *testing.T) {
@@ -376,7 +342,7 @@ func TestPackedParallelStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levelsBigEnough(t, proto)
+	poolSplitsSweep(t, proto)
 	done := make(chan error, 3)
 	for c := 0; c < 3; c++ {
 		go func(c int) {

@@ -45,9 +45,6 @@ type EngineParts struct {
 	// positions, len NumChunks+1) and per-chunk dependency chunks.
 	ChunkStart []int32
 	ChunkDep   []int32
-	// ForkJoin routes parallel sweeps through the per-level fork-join
-	// oracle instead of the persistent scheduler.
-	ForkJoin bool
 }
 
 // SnapshotInfo carries the provenance of an engine restored from a
@@ -78,7 +75,6 @@ func (e *Engine) Parts() EngineParts {
 		Packed:      s.packed,
 		ChunkStart:  s.chunkStart,
 		ChunkDep:    s.chunkDep,
-		ForkJoin:    s.forkJoin,
 	}
 }
 
@@ -152,10 +148,6 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 			return nil, fmt.Errorf("core: parts chunk dep %d of chunk %d escapes [-1,%d)", d, c, c)
 		}
 	}
-	grain := int32((n + int(numChunks) - 1) / int(numChunks))
-	if grain < 1 {
-		grain = 1
-	}
 	s := &shared{
 		mode:          p.Mode,
 		n:             n,
@@ -169,10 +161,8 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 		packed:        p.Packed,
 		pos:           p.Pos,
 		chunkStart:    p.ChunkStart,
-		grain:         grain,
 		numChunks:     numChunks,
 		chunkDep:      p.ChunkDep,
-		forkJoin:      p.ForkJoin,
 		hold:          info.Hold,
 		snapshotBytes: info.Bytes,
 		coldStart:     info.ColdStart,

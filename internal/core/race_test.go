@@ -11,12 +11,10 @@ import (
 )
 
 // These tests exist to run under `go test -race`: the parallel sweeps
-// hand chunks to persistent pool workers (or, under ForkJoinSweep, spawn
-// per-level goroutine waves), and before this file nothing exercised
-// that handoff with the race detector watching. The graph is sized so
-// the sweep spans several grain-sized chunks and at least one level
-// exceeds DefaultParallelGrain — otherwise the sequential fallback would
-// hide the workers entirely.
+// hand chunks to persistent pool workers, and this file exercises that
+// handoff with the race detector watching. The graph is sized so the
+// sweep spans several grain-sized chunks — otherwise the sequential
+// fallback would hide the workers entirely.
 
 // raceFixture builds one hierarchy big enough for real worker spawns and
 // shares it across the race tests (CH construction dominates test time).
@@ -30,7 +28,7 @@ var raceFixture = struct {
 func raceHierarchy(t *testing.T) (*ch.Hierarchy, int) {
 	raceFixture.once.Do(func() {
 		rng := rand.New(rand.NewSource(50))
-		g := gridGraph(rng, 90, 60, 30) // 5400 vertices; largest CH level 1185 > DefaultParallelGrain
+		g := gridGraph(rng, 90, 60, 30) // 5400 vertices: six chunks at DefaultParallelGrain
 		raceFixture.h = ch.Build(g, ch.Options{Workers: 1})
 		raceFixture.n = g.NumVertices()
 		raceFixture.d = sssp.NewDijkstra(g, pq.KindBinaryHeap)
@@ -38,30 +36,30 @@ func raceHierarchy(t *testing.T) (*ch.Hierarchy, int) {
 	return raceFixture.h, raceFixture.n
 }
 
-// levelsBigEnough asserts the fixture actually triggers parallel work:
-// at least one level reaches the default grain, so the fork-join oracle
-// splits it across workers (the pooled scheduler parallelizes whenever
-// the sweep spans more than one chunk, which 5400 vertices guarantee).
-func levelsBigEnough(t *testing.T, e *Engine) {
+// poolSplitsSweep asserts the fixture actually triggers parallel work:
+// one TreeParallel must run on the pool and claim more chunks than it
+// ran sweeps, or the sequential fallback hides the workers and the race
+// test is vacuous.
+func poolSplitsSweep(t *testing.T, e *Engine) {
 	t.Helper()
-	for _, r := range e.LevelRanges() {
-		if r[1]-r[0] >= DefaultParallelGrain {
-			return
-		}
+	before := e.SchedStats()
+	e.TreeParallel(0)
+	after := e.SchedStats()
+	if sweeps, chunks := after.Sweeps-before.Sweeps, after.Chunks-before.Chunks; chunks <= sweeps {
+		t.Fatalf("one TreeParallel ran %d pooled sweeps over %d chunks; the pool never splits the sweep and the race test is vacuous", sweeps, chunks)
 	}
-	t.Fatal("race fixture has no level ≥ DefaultParallelGrain; fork-join workers never spawn and the race test is vacuous")
 }
 
 // TestTreeParallelBarrierRace drives the single-tree parallel sweep with
-// 4 workers and verifies labels against Dijkstra; under -race this is
-// the first exercise of the per-level barrier handoff.
+// 4 workers and verifies labels against Dijkstra; under -race this
+// exercises the chunk handoff between pool workers.
 func TestTreeParallelBarrierRace(t *testing.T) {
 	h, n := raceHierarchy(t)
 	e, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	levelsBigEnough(t, e)
+	poolSplitsSweep(t, e)
 	rng := rand.New(rand.NewSource(51))
 	trees := 6
 	if testing.Short() {
@@ -80,7 +78,7 @@ func TestTreeParallelBarrierRace(t *testing.T) {
 }
 
 // TestMultiTreeParallelBarrierRace does the same for the k-lane parallel
-// sweep, whose level threshold scales with k.
+// sweep.
 func TestMultiTreeParallelBarrierRace(t *testing.T) {
 	h, n := raceHierarchy(t)
 	e, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})

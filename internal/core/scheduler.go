@@ -4,11 +4,10 @@ import (
 	"phast/internal/sched"
 )
 
-// The persistent sweep scheduler that replaced the per-level fork-join
-// of the original Section V implementation lives in internal/sched
-// since the metric-customization PR — ch.Topology.Customize runs its
+// The persistent sweep scheduler, which replaces Section V's per-level
+// fork-join, lives in internal/sched: ch.Topology.Customize runs its
 // triangle-relaxation pass over the contraction order on the very same
-// parked worker pool, and core imports ch, so the pool could not stay
+// parked worker pool, and core imports ch, so the pool cannot live
 // here. This file is the thin engine-side shim: kernel-family dispatch
 // and the Engine methods that proxy the shared pool.
 //
@@ -31,17 +30,13 @@ const (
 	packedMulti
 )
 
-// multiKind reports whether the kind sweeps k trees (its level-size
-// threshold under the fork-join oracle scales with k).
-func (k sweepKind) multiKind() bool { return k == packedMulti }
-
 // SchedStats is a snapshot of the persistent scheduler's counters,
 // accumulated across every engine clone (and every customized sibling
 // engine) sharing the pool.
 type SchedStats struct {
 	// Sweeps is the number of sweeps executed on the pooled scheduler
-	// (fork-join and sequential sweeps are not counted; customization
-	// passes running on the same pool are).
+	// (sequential sweeps are not counted; customization passes running
+	// on the same pool are).
 	Sweeps uint64
 	// Chunks is the number of chunks claimed and scanned, across all
 	// workers including the submitting goroutine.
@@ -74,24 +69,12 @@ func (e *Engine) runPooled(kind sweepKind, k int) {
 	s.pool.Run(j)
 }
 
-// parallelSweep runs one sweep of the given kind on the configured
-// parallel machinery and reports whether it did; false means the caller
-// must scan [0,n) itself (single worker, a sweep smaller than one
-// chunk, or the fork-join oracle in a mode without level ranges).
+// parallelSweep runs one sweep of the given kind on the persistent
+// scheduler and reports whether it did; false means the caller must
+// scan [0,n) itself (single worker, or a sweep smaller than one chunk).
 func (e *Engine) parallelSweep(kind sweepKind, k int) bool {
-	s := e.s
-	if s.pool.Workers() <= 1 || s.numChunks <= 1 {
+	if e.s.pool.Workers() <= 1 || e.s.numChunks <= 1 {
 		return false
-	}
-	if s.forkJoin {
-		if s.levelRanges == nil {
-			// Descending rank order is a valid topological order but not
-			// grouped by level, so the barrier oracle has nothing to
-			// barrier between. The pooled scheduler has no such limit.
-			return false
-		}
-		s.pool.Guard(func() { e.forkJoinSweep(kind, k) })
-		return true
 	}
 	e.runPooled(kind, k)
 	return true
@@ -129,8 +112,8 @@ func (e *Engine) SchedStats() SchedStats {
 func (e *Engine) SchedPool() *sched.Pool { return e.s.pool }
 
 // scanChunkKind runs the kernel of kind over sweep positions [lo,hi).
-// Shared by the sequential sweep ([0,n)), the pooled scheduler (per
-// chunk) and the fork-join oracle (per level slice).
+// Shared by the sequential sweep ([0,n)) and the pooled scheduler (per
+// chunk).
 //
 //phast:hotpath
 func (e *Engine) scanChunkKind(kind sweepKind, k int, lo, hi int32) {

@@ -11,9 +11,9 @@ import (
 )
 
 // Differential suite for the persistent sweep scheduler: every kernel
-// family must produce the same labels pooled as under the fork-join
-// oracle, sequentially, in the Section III reference sweep and in
-// Dijkstra — across all three sweep modes and k ∈ {1, 4, 16}.
+// family must produce the same labels pooled as sequentially, in the
+// Section III reference sweep and in Dijkstra — across all three sweep
+// modes and k ∈ {1, 4, 16}.
 
 func TestPooledSweepDifferential(t *testing.T) {
 	h, n := raceHierarchy(t)
@@ -21,12 +21,6 @@ func TestPooledSweepDifferential(t *testing.T) {
 	for _, mode := range allModes {
 		opt := Options{Mode: mode, Workers: 4, ParallelGrain: 512}
 		pooled, err := NewEngine(h, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fjOpt := opt
-		fjOpt.ForkJoinSweep = true
-		fj, err := NewEngine(h, fjOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +32,6 @@ func TestPooledSweepDifferential(t *testing.T) {
 		// Single tree, against every oracle.
 		s := int32(rng.Intn(n))
 		pooled.TreeParallel(s)
-		fj.TreeParallel(s)
 		seq.Tree(s)
 		raceFixture.d.Run(s)
 		ref := referenceDist(seq, s)
@@ -50,9 +43,6 @@ func TestPooledSweepDifferential(t *testing.T) {
 			if got := pooled.Dist(v); got != want {
 				t.Fatalf("mode=%v: pooled dist(%d)=%d, Dijkstra %d", mode, v, got, want)
 			}
-			if got := fj.Dist(v); got != want {
-				t.Fatalf("mode=%v: fork-join dist(%d)=%d, Dijkstra %d", mode, v, got, want)
-			}
 			if got := seq.Dist(v); got != want {
 				t.Fatalf("mode=%v: sequential dist(%d)=%d, Dijkstra %d", mode, v, got, want)
 			}
@@ -62,7 +52,6 @@ func TestPooledSweepDifferential(t *testing.T) {
 		// path must be tight (its arc weights sum to the label).
 		s2 := int32(rng.Intn(n))
 		pooled.TreeWithParentsParallel(s2)
-		fj.TreeWithParentsParallel(s2)
 		seq.TreeWithParents(s2)
 		g := h.G
 		for i := 0; i < 25; i++ {
@@ -70,9 +59,6 @@ func TestPooledSweepDifferential(t *testing.T) {
 			want := seq.Dist(v)
 			if got := pooled.Dist(v); got != want {
 				t.Fatalf("mode=%v parents: pooled dist(%d)=%d, want %d", mode, v, got, want)
-			}
-			if got := fj.Dist(v); got != want {
-				t.Fatalf("mode=%v parents: fork-join dist(%d)=%d, want %d", mode, v, got, want)
 			}
 			path := pooled.PathTo(v)
 			if path == nil {
@@ -101,17 +87,12 @@ func TestPooledSweepDifferential(t *testing.T) {
 				sources[i] = int32(rng.Intn(n))
 			}
 			pooled.MultiTreeParallel(sources, false)
-			fj.MultiTreeParallel(sources, false)
 			seq.MultiTree(sources, false)
 			for i := range sources {
 				for v := int32(0); v < int32(n); v += 13 {
 					want := seq.MultiDist(i, v)
 					if got := pooled.MultiDist(i, v); got != want {
 						t.Fatalf("mode=%v k=%d lane %d: pooled dist(%d)=%d, want %d",
-							mode, k, i, v, got, want)
-					}
-					if got := fj.MultiDist(i, v); got != want {
-						t.Fatalf("mode=%v k=%d lane %d: fork-join dist(%d)=%d, want %d",
 							mode, k, i, v, got, want)
 					}
 				}
@@ -121,36 +102,24 @@ func TestPooledSweepDifferential(t *testing.T) {
 }
 
 // TestPooledRankOrderRunsParallel pins the capability the barrier relax
-// bought: descending rank order has no level ranges for the fork-join
-// oracle to barrier between, so it used to fall back to the sequential
-// kernel — the dependency-bounded scheduler parallelizes it anyway.
+// bought: descending rank order has no level ranges to barrier between,
+// yet the dependency-bounded scheduler parallelizes it.
 func TestPooledRankOrderRunsParallel(t *testing.T) {
 	h, n := raceHierarchy(t)
 	pooled, err := NewEngine(h, Options{Mode: SweepRankOrder, Workers: 4, ParallelGrain: DefaultParallelGrain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fj, err := NewEngine(h, Options{Mode: SweepRankOrder, Workers: 4, ForkJoinSweep: true, ParallelGrain: DefaultParallelGrain})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := int32(42)
 	pooled.TreeParallel(s)
-	fj.TreeParallel(s)
 	raceFixture.d.Run(s)
 	for v := int32(0); v < int32(n); v += 7 {
 		if got, want := pooled.Dist(v), raceFixture.d.Dist(v); got != want {
 			t.Fatalf("rank-order pooled dist(%d)=%d, want %d", v, got, want)
 		}
-		if got, want := fj.Dist(v), raceFixture.d.Dist(v); got != want {
-			t.Fatalf("rank-order fork-join-fallback dist(%d)=%d, want %d", v, got, want)
-		}
 	}
 	if st := pooled.SchedStats(); st.Sweeps != 1 || st.Chunks == 0 {
 		t.Fatalf("pooled rank-order sweep did not run on the scheduler: %+v", st)
-	}
-	if st := fj.SchedStats(); st.Sweeps != 0 {
-		t.Fatalf("fork-join engine unexpectedly used the pool: %+v", st)
 	}
 }
 

@@ -146,7 +146,7 @@ func Suite() []Runner {
 		{"rphast", "RPHAST extension: one-to-many restricted sweeps", RPHAST},
 		{"scaling", "speedup growth with instance size", Scaling},
 		{"chbuild", "parallel batched CH preprocessing scaling (Sec. VIII-A)", ChBuild},
-		{"sched", "persistent chunk scheduler vs fork-join vs sequential sweep", Sched},
+		{"sched", "persistent chunk scheduler vs sequential sweep", Sched},
 		{"customize", "metric customization: triangle relaxation vs full rebuild", Customize},
 		{"snapshot", "zero-copy snapshot cold start vs rebuild", Snapshot},
 	}

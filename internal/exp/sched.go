@@ -7,17 +7,16 @@ import (
 	"phast/internal/core"
 )
 
-// Sched compares the three sweep drivers over identical kernels: the
-// sequential sweep, the retained per-level fork-join oracle, and the
-// persistent dependency-bounded chunk scheduler that replaced it
-// (barrier-relaxed Section V). The parallel rows run at max(2,
+// Sched compares the two sweep drivers over identical kernels: the
+// sequential sweep and the persistent dependency-bounded chunk
+// scheduler (barrier-relaxed Section V). The pooled row runs at max(2,
 // GOMAXPROCS) workers so the scheduling machinery engages even on a
 // single-CPU host — there the comparison isolates pure scheduling
 // overhead (two goroutines timeslicing one core), while a multi-core
 // host shows the actual speedup. The scheduler-counter columns come
 // from core.SchedStats and only the pooled row has them: chunks per
-// sweep is fixed by ceil(n/grain), stalls count chunk starts that
-// waited on the dependency frontier.
+// sweep is fixed by the chunk boundaries, stalls count chunk starts
+// that waited on the dependency frontier.
 func Sched(e *Env) ([]*Table, error) {
 	workers := MaxProcs()
 	if workers < 2 {
@@ -32,20 +31,17 @@ func Sched(e *Env) ([]*Table, error) {
 	k := 16
 	multiSources := e.randSources(k)
 
-	type row struct {
-		name     string
-		workers  int
-		forkJoin bool
-	}
-	rows := []row{
-		{"sequential", 1, false},
-		{"fork-join (oracle)", workers, true},
-		{"pooled scheduler", workers, false},
+	rows := []struct {
+		name    string
+		workers int
+	}{
+		{"sequential", 1},
+		{"pooled scheduler", workers},
 	}
 	var baseTree time.Duration
 	for _, r := range rows {
 		eng, err := core.NewEngine(e.H, core.Options{
-			Mode: core.SweepReordered, Workers: r.workers, ForkJoinSweep: r.forkJoin,
+			Mode: core.SweepReordered, Workers: r.workers,
 		})
 		if err != nil {
 			return nil, err
@@ -77,8 +73,8 @@ func Sched(e *Env) ([]*Table, error) {
 		)
 		e.logf("sched %s: %v/tree, %v/tree at k=%d", r.name, tree, multi, k)
 	}
-	t.AddNote("all drivers run identical chunk kernels; the rows differ only in how chunks are scheduled")
+	t.AddNote("both drivers run identical chunk kernels; the pooled row scans them chunk by chunk on the persistent pool")
 	t.AddNote("pooled chunks are cut to the cache byte budget (Options.ChunkBytes, default half the detected L2); stalls wait on the dependency frontier, not a level barrier")
-	t.AddNote("CI gates the pooled-vs-fork-join ratio via cmd/benchsmoke -mode sched (BENCH_5.json)")
+	t.AddNote("CI gates the pooled sweeps against a recorded baseline via cmd/benchsmoke -mode sweep (BENCH_3.json)")
 	return []*Table{t}, nil
 }

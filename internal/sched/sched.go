@@ -44,8 +44,8 @@ import (
 // Stats is a snapshot of the pool's counters, accumulated across every
 // job submitter sharing the pool.
 type Stats struct {
-	// Sweeps is the number of jobs executed on the pool (sequential and
-	// fork-join passes are not counted).
+	// Sweeps is the number of jobs executed on the pool (sequential
+	// passes are not counted).
 	Sweeps uint64
 	// Chunks is the number of chunks claimed and scanned, across all
 	// workers including the submitting goroutine.
@@ -148,16 +148,6 @@ func (p *Pool) Stats() Stats {
 		Stalls: p.stalls.Load(),
 		Idle:   p.idle.Load(),
 	}
-}
-
-// Guard runs f while holding the read side of the resize lock, making
-// it mutually exclusive with Resize the same way pooled jobs are. The
-// fork-join sweep oracle runs under it: it reads the worker count and
-// must not race a retire.
-func (p *Pool) Guard(f func()) {
-	p.resizeMu.RLock()
-	defer p.resizeMu.RUnlock()
-	f()
 }
 
 // grow spawns additional parked assist workers.

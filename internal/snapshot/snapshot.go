@@ -106,12 +106,12 @@ const (
 )
 
 // Header flag bits. Bits 3 and 4 named the sweep stream kind in
-// version 1 and are undefined now.
+// version 1, and bit 5 selected the retired fork-join sweep; all three
+// are undefined now.
 const (
 	flagModeMask  = 0b11 // core.SweepMode
 	flagExplicitV = 1 << 2
-	flagForkJoin  = 1 << 5
-	flagsKnown    = flagModeMask | flagExplicitV | flagForkJoin
+	flagsKnown    = flagModeMask | flagExplicitV
 )
 
 // hostIsAliasable reports whether this platform can alias the on-disk
@@ -213,9 +213,6 @@ func Write(w io.Writer, p core.EngineParts, orig *graph.Graph) (int64, error) {
 	flags := uint64(p.Mode) & flagModeMask
 	if p.Order != nil {
 		flags |= flagExplicitV
-	}
-	if p.ForkJoin {
-		flags |= flagForkJoin
 	}
 
 	nameLen := int64(len(h.MetricName))
@@ -704,7 +701,6 @@ func FromBytes(data []byte) (*Snapshot, error) {
 			Packed:      packed,
 			ChunkStart:  chunkStart,
 			ChunkDep:    chunkDep,
-			ForkJoin:    flags&flagForkJoin != 0,
 		},
 		Orig: orig,
 		Size: int64(len(data)),

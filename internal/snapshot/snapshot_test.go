@@ -262,8 +262,9 @@ func TestRejectsForgery(t *testing.T) {
 		return b
 	})
 
-	// Version 1 files (two stream slots) and version 1's stream-kind
-	// flag bits 3 and 4 are refused for that reason and no other.
+	// Version 1 files (two stream slots), version 1's stream-kind flag
+	// bits 3 and 4, and the retired fork-join flag bit 5 are refused
+	// for that reason and no other.
 	refused := func(name, want string, mutate func(b []byte)) {
 		b := append([]byte(nil), good...)
 		mutate(b)
@@ -274,6 +275,7 @@ func TestRejectsForgery(t *testing.T) {
 	refused("v1 version word", "unsupported version 1", func(b []byte) { put64(b, 8, 1) })
 	refused("v2 with flag bit 3", "unknown flag bits 0x8", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<3) })
 	refused("v2 with flag bit 4", "unknown flag bits 0x10", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<4) })
+	refused("v2 with flag bit 5", "unknown flag bits 0x20", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<5) })
 }
 
 // FuzzSnapshotRoundTrip mutates the header and section table of a valid
