@@ -3,12 +3,18 @@
 // the paper's layout. See EXPERIMENTS.md for recorded paper-vs-measured
 // comparisons.
 //
+// With -reports DIR, the bound, chbuild, customize and snapshot
+// experiments write BENCH_3, 4, 6 and 8.json into DIR and apply their
+// gates (see internal/exp/gate.go); the command exits 1 after printing
+// every table if any gate failed.
+//
 // Usage:
 //
 //	experiments                         run everything on europe-s
 //	experiments -run table1,table3     run selected experiments
 //	experiments -preset europe-m -sources 10
 //	experiments -list                  list experiment IDs
+//	experiments -preset europe-m -run bound,chbuild,customize,snapshot -reports .
 package main
 
 import (
@@ -34,6 +40,7 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 		svgDir   = flag.String("svg", "", "directory for SVG figures (fig1, scaling)")
 		mdOut    = flag.String("markdown", "", "also write the tables as a markdown report to this file")
+		reports  = flag.String("reports", "", "directory for the gated experiments' BENCH_*.json reports; enables their gates")
 	)
 	flag.Parse()
 	if *list {
@@ -56,6 +63,7 @@ func main() {
 		GPUTrees: *gpuTrees,
 		Seed:     *seed,
 		SVGDir:   *svgDir,
+		Reports:  *reports,
 	}
 	if *svgDir != "" {
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
@@ -121,5 +129,9 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "  [exp] suite finished in %v\n", time.Since(start).Round(time.Millisecond))
+	}
+	if env.GateErr != nil {
+		fmt.Fprintln(os.Stderr, "experiments: gate failed:", env.GateErr)
+		os.Exit(1)
 	}
 }

@@ -19,38 +19,11 @@ type Options struct {
 	CHWorkers int
 	// SweepWorkers bounds the goroutines of TreeParallel (0 = GOMAXPROCS).
 	SweepWorkers int
-	// SweepMode overrides the sweep order; the default is the fully
-	// reordered layout of Section IV-A. Exposed for experiments.
-	SweepMode SweepMode
-	// ParallelGrain pins the scheduler chunk size in sweep positions.
-	// 0 (the default) sizes chunks by a byte budget instead: the stream
-	// bytes each chunk spans stay within ChunkBytes, so a chunk's
-	// working set fits in cache regardless of arc density.
-	ParallelGrain int
-	// ChunkBytes is the per-chunk stream-byte budget used when
-	// ParallelGrain is 0; 0 detects the machine's L2 cache and budgets
-	// half of it (see internal/machine; PHAST_CHUNK_BYTES overrides).
-	ChunkBytes int
 }
 
 func (o *Options) coreOptions() core.Options {
-	return core.Options{
-		Mode:          o.SweepMode,
-		Workers:       o.SweepWorkers,
-		ParallelGrain: o.ParallelGrain,
-		ChunkBytes:    o.ChunkBytes,
-	}
+	return core.Options{Workers: o.SweepWorkers}
 }
-
-// SweepMode selects the linear-sweep vertex order.
-type SweepMode = core.SweepMode
-
-// Sweep orders (see core.SweepMode).
-const (
-	SweepReordered  = core.SweepReordered
-	SweepLevelOrder = core.SweepLevelOrder
-	SweepRankOrder  = core.SweepRankOrder
-)
 
 // BuildStats reports what CH preprocessing did — independent-set batch
 // sizes, witness-search counts, lazy re-queues, and per-phase wall time.

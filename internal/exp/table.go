@@ -144,9 +144,6 @@ func totalTime(d time.Duration) string {
 // mb formats a byte count in binary megabytes.
 func mb(b int64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }
 
-// gb formats a byte count in binary gigabytes.
-func gb(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<30)) }
-
 // f1/f2 format floats with one/two decimals.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

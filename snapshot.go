@@ -56,8 +56,8 @@ func dirOf(path string) string {
 // PROT_READ shared mapping, so N processes loading the same file share
 // one physical copy and cold start is bounded by validation, not
 // allocation. The sweep layout (mode, stream kind, chunk schedule) is
-// the snapshot's own; of opt only SweepWorkers is honored (the other
-// knobs shaped the snapshot when it was saved). opt may be nil.
+// the snapshot's own; of opt only SweepWorkers is honored (CHWorkers is
+// ignored: the hierarchy already exists). opt may be nil.
 //
 // The mapping stays alive while the engine (or any clone) is reachable
 // and is unmapped by a finalizer afterwards. The aliased pages are
