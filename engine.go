@@ -345,7 +345,8 @@ type TreeResult = server.TreeResult
 
 // ServeOptions configures Engine.Serve; the zero value selects the
 // defaults documented on server.Options (MaxBatch 16, GOMAXPROCS
-// engines, 200µs linger, blocking backpressure).
+// engines, blocking backpressure). Dispatch is work-conserving: a batch
+// waits for more requests only while every engine is busy.
 type ServeOptions = server.Options
 
 // ServerStats is the atomic counter snapshot returned by

@@ -102,10 +102,11 @@ func ChBuild(e *Env) ([]*Table, error) {
 			var bs ch.BuildStats
 			start := time.Now()
 			h := ch.Build(g, ch.Options{Workers: w, Stats: &bs})
-			results[i] = chbuildResult{Workers: w, BuildMs: min(results[i].BuildMs, float64(time.Since(start).Microseconds())/1000),
+			ms := float64(time.Since(start).Microseconds()) / 1000
+			results[i] = chbuildResult{Workers: w, BuildMs: min(results[i].BuildMs, ms),
 				Shortcuts: h.NumShortcuts, Batches: bs.Batches, AvgBatch: bs.AvgBatch(), MaxBatch: bs.MaxBatch,
 				WitnessSearches: bs.WitnessSearches, LazyRequeues: bs.LazyRequeues}
-			e.logf("chbuild workers=%d: %.0f ms, %d batches, %d witness searches", w, results[i].BuildMs, bs.Batches, bs.WitnessSearches)
+			e.logf("chbuild workers=%d: %.0f ms, %d batches, %d witness searches", w, ms, bs.Batches, bs.WitnessSearches)
 		}
 	}
 	// A correctness check, applied with or without a report directory.

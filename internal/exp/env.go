@@ -62,23 +62,25 @@ func (c Config) withDefaults() Config {
 }
 
 // Env is the shared state of one experiment suite run: the instance in
-// its "input" layout, the CH hierarchy built on it, and the sampled
-// sources. Layout permutations and engines are derived per experiment.
+// its "input" layout, the CH hierarchy built on it (on first use, see
+// Hierarchy), and the sampled sources. Layout permutations and engines
+// are derived per experiment.
 type Env struct {
 	Cfg     Config
 	Net     *roadnet.Network
 	G       *graph.Graph // input layout (as generated)
-	H       *ch.Hierarchy
-	CHTime  time.Duration
 	Sources []int32
 	Ref     machine.Spec
 	// GateErr joins the verdicts of gates that failed (only with
 	// Config.Reports set); the drivers still return their tables.
 	GateErr error
 	rng     *rand.Rand
+	h       *ch.Hierarchy
 }
 
-// NewEnv generates the instance and runs CH preprocessing once.
+// NewEnv generates the instance and samples the sources. CH
+// preprocessing waits for the first Hierarchy call, since the gated
+// drivers build their own hierarchies and never need it.
 func NewEnv(cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
 	e := &Env{Cfg: cfg, Ref: machine.Reference(), rng: rand.New(rand.NewSource(cfg.Seed))}
@@ -89,11 +91,6 @@ func NewEnv(cfg Config) (*Env, error) {
 	e.Net = net
 	e.G = net.Graph
 	e.logf("instance %s (%s): n=%d m=%d", cfg.Preset, cfg.Metric, e.G.NumVertices(), e.G.NumArcs())
-	start := time.Now()
-	e.H = ch.Build(e.G, ch.Options{})
-	e.CHTime = time.Since(start)
-	e.logf("CH preprocessing: %v, %d shortcuts, %d levels",
-		e.CHTime, e.H.NumShortcuts, e.H.MaxLevel+1)
 	e.Sources = make([]int32, cfg.Sources)
 	for i := range e.Sources {
 		e.Sources[i] = int32(e.rng.Intn(e.G.NumVertices()))
@@ -107,9 +104,22 @@ func (e *Env) logf(format string, args ...any) {
 	}
 }
 
+// Hierarchy returns the CH hierarchy of the input layout, building it
+// on the first call. Its construction draws nothing from the source
+// stream, so Sources do not depend on whether or when it is built.
+func (e *Env) Hierarchy() *ch.Hierarchy {
+	if e.h == nil {
+		start := time.Now()
+		e.h = ch.Build(e.G, ch.Options{})
+		e.logf("CH preprocessing: %v, %d shortcuts, %d levels",
+			time.Since(start), e.h.NumShortcuts, e.h.MaxLevel+1)
+	}
+	return e.h
+}
+
 // Engine builds a PHAST engine over the environment's hierarchy.
 func (e *Env) Engine(mode core.SweepMode, workers int) (*core.Engine, error) {
-	return core.NewEngine(e.H, core.Options{Mode: mode, Workers: workers})
+	return core.NewEngine(e.Hierarchy(), core.Options{Mode: mode, Workers: workers})
 }
 
 // perTree times fn once per source and returns the mean duration.

@@ -12,7 +12,7 @@ import (
 // the lowest 66; the synthetic instance must show the same geometric
 // decay.
 func Fig1(e *Env) ([]*Table, error) {
-	sizes := e.H.LevelSizes()
+	sizes := e.Hierarchy().LevelSizes()
 	n := e.G.NumVertices()
 	t := &Table{
 		ID:      "fig1",

@@ -80,7 +80,7 @@ func Table1(e *Env) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		h, err := e.H.Permute(lay.perm)
+		h, err := e.Hierarchy().Permute(lay.perm)
 		if err != nil {
 			return nil, err
 		}

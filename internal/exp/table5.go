@@ -22,7 +22,7 @@ func Table5(e *Env) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.H.Permute(perm)
+	h, err := e.Hierarchy().Permute(perm)
 	if err != nil {
 		return nil, err
 	}

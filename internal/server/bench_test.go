@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"phast/internal/ch"
 	"phast/internal/core"
@@ -38,15 +37,15 @@ func benchEngine(b *testing.B) (*core.Engine, int) {
 
 // BenchmarkServerThroughput reports served queries/sec for batch sizes
 // k ∈ {1,4,16} × engine-pool sizes, the trajectory future serving-layer
-// PRs compare against. Clients outnumber k so the linger window fills
-// batches.
+// PRs compare against. Clients outnumber k, so requests pile up into
+// batches while every executor is busy.
 func BenchmarkServerThroughput(b *testing.B) {
 	proto, n := benchEngine(b)
 	for _, k := range []int{1, 4, 16} {
 		for _, engines := range []int{1, 2} {
 			b.Run(fmt.Sprintf("k=%d/engines=%d", k, engines), func(b *testing.B) {
 				s, err := server.New(proto, server.Options{
-					MaxBatch: k, Engines: engines, Linger: 100 * time.Microsecond,
+					MaxBatch: k, Engines: engines,
 				})
 				if err != nil {
 					b.Fatal(err)

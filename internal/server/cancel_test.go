@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"phast/internal/pq"
 	"phast/internal/sssp"
@@ -33,32 +32,35 @@ func (c *cancelAtFirstCheck) Err() error {
 	return c.Context.Err()
 }
 
-// TestCancelAfterSweepStarts holds a batch of four requests on
-// testHookBatchStart, one of whose contexts is canceled once the
-// executor has admitted it to the sweep. That request must fail with
+// TestCancelAfterSweepStarts forms a batch of four requests while the
+// only executor is wedged on testHookBatchStart by an earlier lone
+// request; one of the four contexts is canceled once the executor has
+// admitted it to the sweep. That request must fail with
 // context.Canceled and count in Stats().Canceled, and the three trees
 // swept and copied out beside it must match Dijkstra.
 func TestCancelAfterSweepStarts(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	lift := func() { gateOnce.Do(func() { close(gate) }) }
-	old := testHookBatchStart
-	testHookBatchStart = func() {
-		entered <- struct{}{}
-		<-gate
-	}
-	defer func() { testHookBatchStart = old }()
+	rec := recordBatches(t, true)
+	waitPops := countPops(t)
 
 	g, eng := shardedFixture(t)
-	// The long linger makes the four requests one batch: the dispatcher
-	// flushes it when it is full, never on the timer.
-	s, err := New(eng, Options{MaxBatch: 4, Engines: 1, Linger: time.Minute})
+	s, err := New(eng, Options{MaxBatch: 4, Engines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	defer lift() // after s.Close in LIFO order: unwedge before Close waits
+	defer rec.lift() // after s.Close in LIFO order: unwedge before Close waits
+
+	// The wedge: a lone request the idle executor takes at once.
+	const wedgeSource = 7
+	wedged := make(chan error, 1)
+	go func() {
+		res, err := s.Query(context.Background(), wedgeSource)
+		if err == nil {
+			res.Release()
+		}
+		wedged <- err
+	}()
+	<-rec.entered
 
 	sources := []int32{3, 40, 111, 250}
 	const canceledLane = 1
@@ -80,11 +82,16 @@ func TestCancelAfterSweepStarts(t *testing.T) {
 			out <- outcome{res, err}
 		}(ctx, src, outcomes[i])
 	}
-	<-entered
+	// With the executor busy, the four pile up in the dispatcher's
+	// pending batch, which fills and waits for the executor.
+	waitPops(1 + uint64(len(sources)))
 	if st := s.Stats(); st.Batches != 0 || st.Queries != 0 || st.QueueDepth != 0 {
 		t.Fatalf("held batch: Stats=%+v, want nothing swept and an empty queue", st)
 	}
-	lift()
+	rec.lift()
+	if err := <-wedged; err != nil {
+		t.Fatalf("wedge request: %v", err)
+	}
 
 	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
 	for i, src := range sources {
@@ -108,15 +115,16 @@ func TestCancelAfterSweepStarts(t *testing.T) {
 	}
 	// Close waits for the executor, so its delivery loop has counted
 	// the canceled request by the time Stats is read.
-	lift()
+	rec.lift()
 	s.Close()
 	st := s.Stats()
-	if st.Canceled != 1 || st.Queries != uint64(len(sources)-1) {
-		t.Fatalf("Canceled=%d Queries=%d, want 1 and %d", st.Canceled, st.Queries, len(sources)-1)
+	if st.Canceled != 1 || st.Queries != uint64(len(sources)) {
+		t.Fatalf("Canceled=%d Queries=%d, want 1 and %d", st.Canceled, st.Queries, len(sources))
 	}
-	// The canceled request was swept with the others: one batch of four.
-	if st.Batches != 1 || st.MeanBatchOccupancy != float64(len(sources)) {
-		t.Fatalf("Batches=%d occupancy %.2f, want one batch of %d", st.Batches, st.MeanBatchOccupancy, len(sources))
+	// The canceled request was swept with the others: the wedge's batch
+	// of one, then one batch of four.
+	if st.Batches != 2 || st.MeanBatchOccupancy != float64(1+len(sources))/2 {
+		t.Fatalf("Batches=%d occupancy %.2f, want a batch of 1 and one of %d", st.Batches, st.MeanBatchOccupancy, len(sources))
 	}
 	if st.CopySeconds <= 0 {
 		t.Fatalf("CopySeconds=%v, want >0 after a served batch", st.CopySeconds)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"phast/internal/graph"
 	"phast/internal/pq"
@@ -62,7 +61,7 @@ func TestConcurrentQueriesMatchDijkstra(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			n := cfg.g.NumVertices()
 			s := newServer(t, cfg.g, server.Options{
-				MaxBatch: 8, Engines: 2, Linger: 100 * time.Microsecond,
+				MaxBatch: 8, Engines: 2,
 			})
 			var wg sync.WaitGroup
 			for w := 0; w < goroutines; w++ {

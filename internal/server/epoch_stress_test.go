@@ -95,7 +95,7 @@ func TestEpochSwapUnderLoad(t *testing.T) {
 		}
 	}
 
-	srv, err := server.New(base, server.Options{MaxBatch: 4, Engines: 2, Linger: 0})
+	srv, err := server.New(base, server.Options{MaxBatch: 4, Engines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestQueryMetricNamedEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(base, server.Options{MaxBatch: 4, Engines: 1, Linger: 0})
+	srv, err := server.New(base, server.Options{MaxBatch: 4, Engines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

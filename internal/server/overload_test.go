@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,9 +47,9 @@ func waitQueueDepth(t *testing.T, s *TreeServer, want int) {
 	}
 }
 
-// countPops installs a testHookRequestPopped counter (restored via
+// countPops installs a testHookRequestsPopped counter (restored via
 // t.Cleanup) and returns a waiter that blocks until the dispatcher has
-// popped want requests off the queue. Queue depth cannot sequence the
+// popped want requests off the queue and fails if it popped more. Queue depth cannot sequence the
 // pipeline-filling steps — it reads 0 both before a query enqueues and
 // after it is popped — so the tests gate on dispatcher progress
 // instead; otherwise two staged queries can race for the one queue
@@ -58,9 +57,9 @@ func waitQueueDepth(t *testing.T, s *TreeServer, want int) {
 func countPops(t *testing.T) func(want uint64) {
 	t.Helper()
 	var pops atomic.Uint64
-	old := testHookRequestPopped
-	testHookRequestPopped = func() { pops.Add(1) }
-	t.Cleanup(func() { testHookRequestPopped = old })
+	old := testHookRequestsPopped
+	testHookRequestsPopped = func(n int) { pops.Add(uint64(n)) }
+	t.Cleanup(func() { testHookRequestsPopped = old })
 	return func(want uint64) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -70,29 +69,23 @@ func countPops(t *testing.T) func(want uint64) {
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
+		if got := pops.Load(); got != want {
+			t.Fatalf("dispatcher popped %d requests, want exactly %d", got, want)
+		}
 	}
 }
 
 // TestRejectOnFullDeterministic fills every stage of the pipeline —
-// executor (wedged on the hook), batch channel, dispatcher's blocked
-// hand-off, request queue — and asserts the next query is rejected with
-// ErrOverloaded while all queued ones complete once the wedge lifts.
+// executor (wedged on the hook), the dispatcher's pending batch blocked
+// in its hand-off, request queue — and asserts the next query is
+// rejected with ErrOverloaded while all queued ones complete once the
+// wedge lifts.
 func TestRejectOnFullDeterministic(t *testing.T) {
-	entered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	lift := func() { gateOnce.Do(func() { close(gate) }) }
-	old := testHookBatchStart
-	testHookBatchStart = func() {
-		entered <- struct{}{}
-		<-gate
-	}
-	defer func() { testHookBatchStart = old }()
+	rec := recordBatches(t, true)
 	waitPops := countPops(t)
 
 	s, err := New(overloadEngine(t), Options{
-		MaxBatch: 1, Engines: 1, QueueSize: 1,
-		Linger: -1, Overload: RejectOnFull,
+		MaxBatch: 1, Engines: 1, QueueSize: 1, Overload: RejectOnFull,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,16 +94,16 @@ func TestRejectOnFullDeterministic(t *testing.T) {
 	// Registered after s.Close so it runs first: if an assertion fails
 	// while the executor is wedged, Close would otherwise wait forever
 	// for the executor parked in the hook.
-	defer lift()
+	defer rec.lift()
 
 	// Pipeline capacity before rejection: 1 wedged in the executor,
-	// 1 in the batch channel buffer, 1 held by the blocked dispatcher,
-	// 1 in the request queue.
+	// 1 in the dispatcher's pending batch, blocked handing it over (the
+	// batch channel is unbuffered), 1 in the request queue.
 	type outcome struct {
 		res *TreeResult
 		err error
 	}
-	results := make(chan outcome, 4)
+	results := make(chan outcome, 3)
 	fire := func() {
 		go func() {
 			res, err := s.Query(context.Background(), 3)
@@ -118,13 +111,14 @@ func TestRejectOnFullDeterministic(t *testing.T) {
 		}()
 	}
 	fire() // q1 -> executor
-	<-entered
-	fire() // q2 -> batch channel buffer
+	<-rec.entered
+	fire() // q2 -> dispatcher, blocked sending its pending batch
 	waitPops(2)
-	fire() // q3 -> dispatcher, blocked sending the batch
-	waitPops(3)
-	fire() // q4 -> request queue
+	fire() // q3 -> request queue
 	waitQueueDepth(t, s, 1)
+	// The blocked dispatcher holds exactly one request: it must not
+	// have popped q3.
+	waitPops(2)
 
 	if _, err := s.Query(context.Background(), 3); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("full pipeline returned %v, want ErrOverloaded", err)
@@ -133,8 +127,8 @@ func TestRejectOnFullDeterministic(t *testing.T) {
 		t.Fatalf("Stats().Rejected=%d, want 1", st.Rejected)
 	}
 
-	lift() // lift the wedge; later batches pass the hook instantly
-	for i := 0; i < 4; i++ {
+	rec.lift() // lift the wedge; later batches pass the hook instantly
+	for i := 0; i < 3; i++ {
 		o := <-results
 		if o.err != nil {
 			t.Fatalf("queued query %d failed after wedge lifted: %v", i, o.err)
@@ -144,9 +138,9 @@ func TestRejectOnFullDeterministic(t *testing.T) {
 		}
 		o.res.Release()
 	}
-	<-entered // drain hook signals (≥1 more batch ran)
-	if st := s.Stats(); st.Queries != 4 || st.Rejected != 1 {
-		t.Fatalf("Stats=%+v, want 4 served / 1 rejected", st)
+	rec.check(t, []int{1, 1, 1})
+	if st := s.Stats(); st.Queries != 3 || st.Rejected != 1 {
+		t.Fatalf("Stats=%+v, want 3 served / 1 rejected", st)
 	}
 }
 
@@ -154,26 +148,17 @@ func TestRejectOnFullDeterministic(t *testing.T) {
 // way under the blocking policy and checks the overflow query waits
 // (respecting its context) rather than failing.
 func TestBlockOnFullWaitsInsteadOfRejecting(t *testing.T) {
-	entered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	lift := func() { gateOnce.Do(func() { close(gate) }) }
-	old := testHookBatchStart
-	testHookBatchStart = func() {
-		entered <- struct{}{}
-		<-gate
-	}
-	defer func() { testHookBatchStart = old }()
+	rec := recordBatches(t, true)
 	waitPops := countPops(t)
 
 	s, err := New(overloadEngine(t), Options{
-		MaxBatch: 1, Engines: 1, QueueSize: 1, Linger: -1,
+		MaxBatch: 1, Engines: 1, QueueSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	defer lift() // after s.Close in LIFO order: unwedge before Close waits
+	defer rec.lift() // after s.Close in LIFO order: unwedge before Close waits
 
 	results := make(chan error, 8)
 	fire := func() {
@@ -185,14 +170,13 @@ func TestBlockOnFullWaitsInsteadOfRejecting(t *testing.T) {
 			results <- err
 		}()
 	}
-	fire()
-	<-entered
-	fire()
+	fire() // executor
+	<-rec.entered
+	fire() // dispatcher's pending batch
 	waitPops(2)
-	fire()
-	waitPops(3)
-	fire()
+	fire() // request queue
 	waitQueueDepth(t, s, 1)
+	waitPops(2) // exactly two requests are past the queue
 
 	// Overflow with an expiring context: must block, then surface the
 	// deadline rather than ErrOverloaded.
@@ -205,8 +189,8 @@ func TestBlockOnFullWaitsInsteadOfRejecting(t *testing.T) {
 		t.Fatalf("blocking policy counted %d rejections", st.Rejected)
 	}
 
-	lift()
-	for i := 0; i < 4; i++ {
+	rec.lift()
+	for i := 0; i < 3; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("queued query %d failed: %v", i, err)
 		}

@@ -113,7 +113,7 @@ func TestServerStressMixedBatchesAndInstalls(t *testing.T) {
 	oracles := [][][]uint32{allPairs(g), allPairs(gw)}
 
 	const maxBatch = 8
-	s, err := server.New(base, server.Options{MaxBatch: maxBatch, Engines: 2, Linger: -1})
+	s, err := server.New(base, server.Options{MaxBatch: maxBatch, Engines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

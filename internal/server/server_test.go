@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"phast/internal/ch"
 	"phast/internal/core"
@@ -113,7 +112,7 @@ func TestQuerySourceOutOfRange(t *testing.T) {
 func TestStatsCountQueriesAndBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := newServer(t, gridGraph(rng, 8, 8, 20), server.Options{
-		MaxBatch: 4, Engines: 1, Linger: 2 * time.Millisecond,
+		MaxBatch: 4, Engines: 1,
 	})
 	sources := make([]int32, 10)
 	for i := range sources {
@@ -133,12 +132,10 @@ func TestStatsCountQueriesAndBatches(t *testing.T) {
 	if st.Queries != 10 {
 		t.Fatalf("Queries=%d, want 10", st.Queries)
 	}
-	// 10 sources with MaxBatch 4 need at least ⌈10/4⌉ = 3 sweeps.
-	if st.Batches < 3 {
-		t.Fatalf("Batches=%d, want ≥3", st.Batches)
-	}
-	if st.MeanBatchOccupancy <= 0 || st.MeanBatchOccupancy > 4 {
-		t.Fatalf("MeanBatchOccupancy=%v, want in (0,4]", st.MeanBatchOccupancy)
+	// QueryMany submits whole chunks of MaxBatch, so 10 sources are
+	// swept as 4+4+2: exactly three sweeps holding ten trees.
+	if st.Batches != 3 || st.MeanBatchOccupancy != 10.0/3 {
+		t.Fatalf("Batches=%d occupancy %v, want 3 sweeps of 4+4+2", st.Batches, st.MeanBatchOccupancy)
 	}
 	if st.QueueDepth != 0 {
 		t.Fatalf("QueueDepth=%d after drain, want 0", st.QueueDepth)

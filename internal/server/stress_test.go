@@ -42,7 +42,6 @@ func TestServerStressWithConcurrentClose(t *testing.T) {
 			n := g.NumVertices()
 			s, err := server.New(newCoreEngine(t, g, 1), server.Options{
 				MaxBatch: 4, Engines: 2, QueueSize: 8,
-				Linger:   50 * time.Microsecond,
 				Overload: policy,
 			})
 			if err != nil {
@@ -115,7 +114,7 @@ func TestServerStressQueryMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	g := gilbertGraph(rng, 120, 4.0/120, 100)
 	n := g.NumVertices()
-	s := newServer(t, g, server.Options{MaxBatch: 8, Engines: 2, Linger: 100 * time.Microsecond})
+	s := newServer(t, g, server.Options{MaxBatch: 8, Engines: 2})
 	goroutines := runtime.NumCPU() * 4
 	iters := stressIters(t, 40)
 	var wg sync.WaitGroup
