@@ -124,11 +124,17 @@ type SweepTraffic struct {
 	N, M int
 	// K is the number of trees grown per sweep (0 is treated as 1).
 	K int
-	// StreamBytes, when positive, is the byte length of the fused sweep
-	// stream (graph.Packed words × 4): the whole graph walk reads
-	// exactly these bytes. Zero models the plain CSR layout of Section
-	// III (first, arclist and a mark byte per vertex).
+	// StreamBytes, when positive, is the byte length of the arc-major
+	// sweep stream (graph.Packed words × 4), which the graph walk reads
+	// once. The kernels over it add one 4-byte word per vertex: at k=1
+	// the Inf prefill of the labels before the upward search, at k ≥ 2
+	// the block-index entry that delimits each position's arc run. Zero
+	// models the plain CSR layout of Section III (first, arclist and a
+	// mark byte per vertex).
 	StreamBytes int64
+	// Ordered adds the sweep-order array (4 bytes per vertex) a sweep
+	// outside the reordered layout reads to map positions to vertices.
+	Ordered bool
 	// Parents adds the parent-pointer write stream (TreeWithParents).
 	Parents bool
 }
@@ -140,11 +146,16 @@ func (t SweepTraffic) Bytes() int64 {
 		k = 1
 	}
 	b := t.StreamBytes
-	if b <= 0 {
+	if b > 0 {
+		b += int64(t.N) * 4 // k=1: label prefill; k ≥ 2: block index
+	} else {
 		// first (4(n+1)) + AoS arcs (8m) + mark bytes (n).
 		b = int64(t.N+1)*4 + int64(t.M)*8 + int64(t.N)
 	}
 	b += k * (int64(t.M)*4 + int64(t.N)*4) // tail-label reads + label writes
+	if t.Ordered {
+		b += int64(t.N) * 4
+	}
 	if t.Parents {
 		b += int64(t.N) * 4
 	}

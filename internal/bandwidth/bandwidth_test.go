@@ -64,19 +64,29 @@ func TestSequentialParallelRuns(t *testing.T) {
 }
 
 // TestSweepTrafficTerms pins the sweep traffic model: the graph walk
-// once (the stream bytes, or the CSR layout when none is given), k
-// tail-label reads per arc and k label writes per vertex, plus the
-// parent writes.
+// once (the stream bytes plus one word per vertex — the k=1 label
+// prefill or the k ≥ 2 block index — or the CSR layout when no stream
+// is given), k tail-label reads per arc and k label writes per vertex,
+// plus the order and parent terms.
 func TestSweepTrafficTerms(t *testing.T) {
 	const n, m = 100, 400
 	labels := func(k int64) int64 { return k * (m*4 + n*4) }
 	stream := SweepTraffic{N: n, M: m, K: 8, StreamBytes: 1000}
-	if got, want := stream.Bytes(), 1000+labels(8); got != want {
+	if got, want := stream.Bytes(), 1000+n*4+labels(8); got != want {
 		t.Fatalf("k=8 stream sweep = %d B, want %d", got, want)
+	}
+	single := SweepTraffic{N: n, M: m, K: 1, StreamBytes: 1000}
+	if got, want := single.Bytes(), 1000+n*4+labels(1); got != want {
+		t.Fatalf("k=1 stream sweep = %d B, want %d", got, want)
 	}
 	csr := SweepTraffic{N: n, M: m}
 	if got, want := csr.Bytes(), int64((n+1)*4+m*8+n)+labels(1); got != want {
 		t.Fatalf("K=0 CSR sweep = %d B, want %d", got, want)
+	}
+	ordered := stream
+	ordered.Ordered = true
+	if got := ordered.Bytes() - stream.Bytes(); got != n*4 {
+		t.Fatalf("order term = %d B, want %d", got, n*4)
 	}
 	parents := stream
 	parents.Parents = true

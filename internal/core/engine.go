@@ -7,10 +7,12 @@
 //     Section III), level order without relabeling, and the fully
 //     reordered layout of Section IV-A where the sweep is a pure linear
 //     scan in increasing vertex ID;
-//   - one sweep stream per engine, the packed words of graph.Packed,
-//     with implicit initialization (Section IV-C) folded into a sorted
-//     cursor over the upward search space, so a tree computation never
-//     pays an O(n) clearing pass and the sweep never reads a mark array;
+//   - one sweep stream per engine, the arc-major words of graph.Packed,
+//     which the single-tree kernel walks arc by arc with no per-vertex
+//     branch over labels prefilled with Inf, and the multi-tree kernel
+//     position by position with implicit initialization (Section IV-C)
+//     folded into a sorted cursor over the upward search space, so
+//     neither kernel reads a mark array;
 //   - multi-tree sweeps that grow k trees at once with the k labels of a
 //     vertex contiguous in memory (Section IV-B), relaxing them in
 //     register-resident 4-wide lane groups mirroring the paper's SSE
@@ -112,8 +114,7 @@ type shared struct {
 	levelRanges [][2]int32 // positions in the sweep order, one per level
 	toEngine    []int32    // original ID -> engine ID
 	toOrig      []int32    // engine ID -> original ID
-	// packed is the fused single-stream sweep layout of downIn in sweep
-	// order.
+	// packed is the arc-major sweep stream of downIn in sweep order.
 	packed *graph.Packed
 	// pos maps an engine vertex ID to its sweep position (the inverse of
 	// order); nil when the order is the identity.
@@ -159,7 +160,7 @@ type Engine struct {
 	hasParents bool    // last tree recorded parents
 	queue      *chHeap
 	touched    []int32 // engine IDs labeled by the last upward search
-	seedPos    []int32 // packed sweeps: sorted sweep positions of touched
+	seedPos    []int32 // multi-tree sweeps: sorted sweep positions of touched
 	src        int32   // engine ID of the last source, -1 initially
 	// multi-tree state (Section IV-B)
 	k     int
@@ -333,7 +334,7 @@ func NewEngineSharingPool(e *Engine, h *ch.Hierarchy) (*Engine, error) {
 	if !s.downIn.SameStructure(old.downIn) {
 		return nil, fmt.Errorf("core: sibling hierarchy's downward graph does not match the engine's topology")
 	}
-	p, err := old.packed.WithWeights(s.downIn)
+	p, err := old.packed.WithWeights(s.downIn, s.order)
 	if err != nil {
 		return nil, fmt.Errorf("core: patching packed sweep stream: %w", err)
 	}
@@ -379,7 +380,7 @@ func (e *Engine) OrigID(v int32) int32 { return e.s.toOrig[v] }
 // shared; callers must not modify it.
 func (e *Engine) LevelRanges() [][2]int32 { return e.s.levelRanges }
 
-// Packed returns the fused single-stream sweep layout the engine scans.
+// Packed returns the arc-major sweep stream the engine scans.
 func (e *Engine) Packed() *graph.Packed { return e.s.packed }
 
 // StreamBytes returns the bytes of sweep stream one tree scans front to
@@ -392,7 +393,7 @@ func (e *Engine) StreamBytes() int64 { return int64(e.s.packed.Words()) * 4 }
 // Divide by the measured sweep time for achieved GB/s against the
 // Section VIII-B lower bounds; k <= 0 is treated as a single tree.
 func (e *Engine) SweepBytes(k int) int64 {
-	t := bandwidth.SweepTraffic{N: e.s.n, M: e.s.downIn.NumArcs(), K: k, StreamBytes: e.StreamBytes()}
+	t := bandwidth.SweepTraffic{N: e.s.n, M: e.s.downIn.NumArcs(), K: k, StreamBytes: e.StreamBytes(), Ordered: e.s.order != nil}
 	return t.Bytes()
 }
 

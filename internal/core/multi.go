@@ -51,8 +51,7 @@ func (e *Engine) multiTree(sources []int32, parallel bool) {
 		// the swap back leaves dist's last labels in place (unreadable
 		// while lastMulti holds).
 		e.dist, e.kdist = e.kdist, e.dist
-		e.chSearch(sources[0], nil)
-		e.sweep(packedSingle, 1, parallel)
+		e.singleTree(sources[0], nil, parallel)
 		e.dist, e.kdist = e.kdist, e.dist
 		return
 	}
@@ -60,6 +59,7 @@ func (e *Engine) multiTree(sources []int32, parallel bool) {
 	for i, src := range sources {
 		e.chSearchLane(src, i, k)
 	}
+	e.buildSeeds()
 	e.sweep(packedMulti, k, parallel)
 }
 

@@ -12,8 +12,9 @@ import (
 // sequential, and on the pooled scheduler with a 16-position grain —
 // must agree per source with the Section III reference sweep
 // (referenceTree). The weight cap spans 1- to 18-bit weights, and the
-// ordered flag switches to an explicit sweep order, whose stream
-// blocks carry vertex words.
+// ordered flag switches to an explicit sweep order, whose kernels map
+// positions to vertices through the order array: level order for even
+// seeds, descending rank for odd ones. k=1 runs the single-tree kernel.
 func FuzzMultiSweep(f *testing.F) {
 	// (nRaw, mRaw, seed, kRaw, wCap, ordered). The checked-in corpus in
 	// testdata/fuzz/FuzzMultiSweep pins the same six tuples, named by
@@ -24,6 +25,7 @@ func FuzzMultiSweep(f *testing.F) {
 	f.Add(uint16(500), uint16(2400), int64(4), uint8(4), uint32(200), true)
 	f.Add(uint16(500), uint16(2400), int64(5), uint8(0), uint32(50_000), true)
 	f.Add(uint16(500), uint16(2400), int64(6), uint8(9), uint32(90_000), true)
+	f.Add(uint16(300), uint16(1200), int64(8), uint8(0), uint32(90_000), false) // k=1, reordered
 	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, seed int64, kRaw uint8, wCap uint32, ordered bool) {
 		n := 2 + int(nRaw)%600
 		m := int(mRaw) % (5 * n)
@@ -35,6 +37,9 @@ func FuzzMultiSweep(f *testing.F) {
 		mode := SweepReordered
 		if ordered {
 			mode = SweepLevelOrder
+			if seed%2 != 0 {
+				mode = SweepRankOrder
+			}
 		}
 		e, err := NewEngine(h, Options{Mode: mode, Workers: 4, ParallelGrain: 16})
 		if err != nil {
@@ -50,8 +55,8 @@ func FuzzMultiSweep(f *testing.F) {
 			for i := range sources {
 				for v := int32(0); v < int32(n); v++ {
 					if got := e.MultiDist(i, v); got != want[i][v] {
-						t.Fatalf("%s n=%d k=%d lane %d: dist(%d)=%d, reference %d",
-							variant, n, k, i, v, got, want[i][v])
+						t.Fatalf("%s %v n=%d k=%d lane %d: dist(%d)=%d, reference %d",
+							variant, mode, n, k, i, v, got, want[i][v])
 					}
 				}
 			}

@@ -7,7 +7,8 @@ import "phast/internal/graph"
 // tail labels are one contiguous run, the paper's "k labels in one SSE
 // register". The multi kernel of packed.go walks the stream and hands
 // each vertex's incoming arcs, a slice of the stream's (tail, weight)
-// word pairs, to relaxVertexK:
+// word pairs, to relaxVertexK, which masks the first-arc bit off the
+// tails:
 //
 //  1. Lanes go in groups of four, then a group of two and a single
 //     lane as k requires. Each lane of a group accumulates its minimum
@@ -23,7 +24,9 @@ import "phast/internal/graph"
 // conditionally stored all k target labels.
 
 // relaxVertexK relaxes the k labels of engine vertex vi over arcs, a
-// run of (tail engine ID, weight) pairs, and stores the k minima.
+// run of (tail engine ID, weight) pairs as laid out in the stream (the
+// first tail word carries graph.FirstArc, masked here), and stores the
+// k minima.
 // seeded selects the starting value: the vertex's current labels (set
 // by the upward searches) or Inf.
 //
@@ -38,7 +41,7 @@ func relaxVertexK(kd []uint32, k, vi int, arcs []uint32, seeded bool) {
 			b0, b1, b2, b3 = dst[j], dst[j+1], dst[j+2], dst[j+3]
 		}
 		for t := 0; t+1 < len(arcs); t += 2 {
-			u := int(arcs[t])*k + j
+			u := int(arcs[t]&graph.TailMask)*k + j
 			w := arcs[t+1]
 			tl := kd[u : u+4 : u+4]
 			if nd := graph.AddSat(tl[0], w); nd < b0 {
@@ -62,7 +65,7 @@ func relaxVertexK(kd []uint32, k, vi int, arcs []uint32, seeded bool) {
 			b0, b1 = dst[j], dst[j+1]
 		}
 		for t := 0; t+1 < len(arcs); t += 2 {
-			u := int(arcs[t])*k + j
+			u := int(arcs[t]&graph.TailMask)*k + j
 			w := arcs[t+1]
 			tl := kd[u : u+2 : u+2]
 			if nd := graph.AddSat(tl[0], w); nd < b0 {
@@ -81,7 +84,7 @@ func relaxVertexK(kd []uint32, k, vi int, arcs []uint32, seeded bool) {
 			b0 = dst[j]
 		}
 		for t := 0; t+1 < len(arcs); t += 2 {
-			if nd := graph.AddSat(kd[int(arcs[t])*k+j], arcs[t+1]); nd < b0 {
+			if nd := graph.AddSat(kd[int(arcs[t]&graph.TailMask)*k+j], arcs[t+1]); nd < b0 {
 				b0 = nd
 			}
 		}

@@ -16,7 +16,8 @@ import (
 // single-tree route, and batches past the server's 16 — the engine must
 // agree label-for-label with Dijkstra and with the Section III reference
 // sweep (referenceTree): sequentially and on the pooled scheduler, in
-// every sweep mode. Level and rank order carry explicit vertex words.
+// every sweep mode. Level and rank order map positions to vertices
+// through the order array.
 func TestMultiTreeMatchesAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, mode := range allModes {

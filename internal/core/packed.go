@@ -6,42 +6,62 @@ import (
 	"phast/internal/graph"
 )
 
-// This file holds the fused single-stream sweep kernels, one per tree
-// family. The layout (graph.Packed) interleaves each vertex's arc
-// count with its (head, weight) pairs in sweep order, so phase 2 is one
-// forward pass over a single []uint32 with no first[]/order[]
-// indirection. Each kernel relaxes a chunk [lo,hi) of sweep positions:
-// it enters the stream at lo through Packed.BlockStarts and positions
-// its seed cursor with one binary search, so the sequential sweep is
-// the kernel over [0,n) and the scheduler's workers run it per chunk
-// (Section V).
+// This file holds the sweep kernels over the arc-major stream
+// (graph.Packed), one per tree family. Each kernel relaxes a chunk
+// [lo,hi) of sweep positions, entering the stream at lo through
+// Packed.BlockStarts, so the sequential sweep is the kernel over [0,n)
+// and the scheduler's workers run it per chunk (Section V).
 //
-// The mark bit of the implicit-initialization scheme (Section IV-C) is
-// folded away entirely: instead of branching on a per-vertex byte, the
-// upward search's touched set is converted once into a sorted list of
-// sweep positions and consumed by a merge cursor — the sweep never
-// reads or writes a mark array, which removes one n-byte stream and one
-// hard-to-predict branch per vertex. Relaxations stay 32-bit with
-// saturating adds (graph.AddSat compiles to add + cmp + cmov).
+// The single-tree kernels walk the chunk arc by arc. Bit 31 of each
+// tail word starts a new position, so the loop advances its position
+// counter by that bit and takes the running minimum in the label
+// array itself: there is no per-vertex loop whose exit would depend on
+// the in-degree. The labels are prefilled with Inf before the upward
+// search, which then seeds its search space in place, so the kernel
+// needs neither the mark bits nor a seed list. This trades the
+// implicit initialization of Section IV-C for one sequential 4n-byte
+// pass per tree.
+//
+// The multi-tree kernel keeps implicit initialization, where skipping
+// the k·n prefill pays: it takes each position's arc run as a slice
+// through BlockStarts and hands it to the register relax of
+// multi_relax.go, with the upward search space as a sorted cursor of
+// seeded positions. Relaxations stay 32-bit with saturating adds
+// (graph.AddSat compiles to add + cmp + cmov).
+
+// fillInf sets every label of dist to Inf, the single-tree kernels'
+// starting state.
+//
+//phast:hotpath
+func fillInf(dist []uint32) {
+	for i := range dist {
+		dist[i] = graph.Inf
+	}
+}
+
+// clearMarks resets the marks the upward search set, restoring the
+// engine's between-trees invariant (all marks false).
+//
+//phast:hotpath
+func (e *Engine) clearMarks() {
+	for _, v := range e.touched {
+		e.mark[v] = false
+	}
+}
 
 // buildSeeds converts e.touched (the upward search space, engine IDs)
-// into e.seedPos: the sorted sweep positions whose labels are already
-// seeded in dist/kdist. It also clears the marks the search set, so the
-// engine's between-trees invariant (all marks false) holds without the
-// sweep touching the mark array.
+// into e.seedPos: the sorted sweep positions whose k labels the upward
+// searches seeded in kdist. It also clears the marks the searches set.
 //
 //phast:hotpath
 func (e *Engine) buildSeeds() {
+	e.clearMarks()
 	e.seedPos = e.seedPos[:0]
 	pos := e.s.pos
 	if pos == nil {
-		for _, v := range e.touched {
-			e.mark[v] = false
-			e.seedPos = append(e.seedPos, v)
-		}
+		e.seedPos = append(e.seedPos, e.touched...)
 	} else {
 		for _, v := range e.touched {
-			e.mark[v] = false
 			e.seedPos = append(e.seedPos, pos[v])
 		}
 	}
@@ -65,107 +85,75 @@ func seedLowerBound(seeds []int32, lo int32) int {
 	return i
 }
 
-// scanPackedChunk relaxes sweep positions [lo,hi) of the packed
-// single-tree sweep.
+// chunkArcs returns the stream words of sweep positions [lo,hi).
+func (e *Engine) chunkArcs(lo, hi int32) []uint32 {
+	bs := e.s.packed.BlockStarts()
+	return e.s.packed.Stream()[bs[lo]:bs[hi]]
+}
+
+// scanPackedChunk relaxes sweep positions [lo,hi) of the single-tree
+// sweep over a dist prefilled with Inf and seeded by the upward search.
 //
 //phast:hotpath
 func (e *Engine) scanPackedChunk(lo, hi int32) {
-	pk := e.s.packed
-	stream := pk.Stream()
-	hasV := pk.ExplicitVertex()
+	arcs := e.chunkArcs(lo, hi)
 	dist := e.dist
-	seeds := e.seedPos
-	si := seedLowerBound(seeds, lo)
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
+	if order := e.s.order; order != nil {
+		p := lo - 1
+		for i := 1; i < len(arcs); i += 2 {
+			tw := arcs[i-1]
+			p += int32(tw >> 31)
+			v := order[p]
+			dist[v] = min(dist[v], graph.AddSat(dist[tw&graph.TailMask], arcs[i]))
+		}
+		return
 	}
-	i := pk.BlockStarts()[lo]
-	for p := lo; p < hi; p++ {
-		deg := int(stream[i])
-		i++
-		v := p
-		if hasV {
-			v = int32(stream[i])
-			i++
-		}
-		best := graph.Inf
-		if p == next {
-			best = dist[v]
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
-		}
-		for end := i + 2*deg; i < end; i += 2 {
-			nd := graph.AddSat(dist[stream[i]], stream[i+1])
-			if nd < best {
-				best = nd
-			}
-		}
-		dist[v] = best
+	v := lo - 1
+	for i := 1; i < len(arcs); i += 2 {
+		tw := arcs[i-1]
+		v += int32(tw >> 31)
+		dist[v] = min(dist[v], graph.AddSat(dist[tw&graph.TailMask], arcs[i]))
 	}
 }
 
-// scanPackedParentsChunk is scanPackedChunk recording G+ parents.
+// scanPackedParentsChunk is scanPackedChunk recording G+ parents over a
+// parent array prefilled with -1. The strict < keeps, among equal
+// labels, the upward search's parent or else the first arc in stream
+// order.
 //
 //phast:hotpath
 func (e *Engine) scanPackedParentsChunk(lo, hi int32) {
-	pk := e.s.packed
-	stream := pk.Stream()
-	hasV := pk.ExplicitVertex()
+	arcs := e.chunkArcs(lo, hi)
 	dist := e.dist
 	parent := e.parent
-	seeds := e.seedPos
-	si := seedLowerBound(seeds, lo)
-	next := int32(-1)
-	if si < len(seeds) {
-		next = seeds[si]
-	}
-	i := pk.BlockStarts()[lo]
-	for p := lo; p < hi; p++ {
-		deg := int(stream[i])
-		i++
+	order := e.s.order
+	p := lo - 1
+	for i := 1; i < len(arcs); i += 2 {
+		tw := arcs[i-1]
+		p += int32(tw >> 31)
 		v := p
-		if hasV {
-			v = int32(stream[i])
-			i++
+		if order != nil {
+			v = order[p]
 		}
-		best := graph.Inf
-		bestP := int32(-1)
-		if p == next {
-			best = dist[v]
-			bestP = parent[v] // set by the CH search
-			si++
-			next = -1
-			if si < len(seeds) {
-				next = seeds[si]
-			}
+		t := int32(tw & graph.TailMask)
+		if nd := graph.AddSat(dist[t], arcs[i]); nd < dist[v] {
+			dist[v] = nd
+			parent[v] = t
 		}
-		for end := i + 2*deg; i < end; i += 2 {
-			h := stream[i]
-			nd := graph.AddSat(dist[h], stream[i+1])
-			if nd < best {
-				best = nd
-				bestP = int32(h)
-			}
-		}
-		dist[v] = best
-		parent[v] = bestP
 	}
 }
 
-// scanPackedMultiChunk relaxes all k trees of sweep positions [lo,hi)
-// over the fused stream: each vertex's (head, weight) word pairs go
-// straight from the stream to the register relax of multi_relax.go.
-// The sequential multi-tree sweep is this kernel over [0,n).
+// scanPackedMultiChunk relaxes all k trees of sweep positions [lo,hi):
+// each position's run of (tail, weight) word pairs goes straight from
+// the stream to the register relax of multi_relax.go. The sequential
+// multi-tree sweep is this kernel over [0,n).
 //
 //phast:hotpath
 func (e *Engine) scanPackedMultiChunk(lo, hi int32, k int) {
 	pk := e.s.packed
 	stream := pk.Stream()
-	hasV := pk.ExplicitVertex()
+	bs := pk.BlockStarts()
+	order := e.s.order
 	kd := e.kdist
 	seeds := e.seedPos
 	si := seedLowerBound(seeds, lo)
@@ -173,14 +161,10 @@ func (e *Engine) scanPackedMultiChunk(lo, hi int32, k int) {
 	if si < len(seeds) {
 		next = seeds[si]
 	}
-	i := pk.BlockStarts()[lo]
 	for p := lo; p < hi; p++ {
-		deg := int(stream[i])
-		i++
 		v := p
-		if hasV {
-			v = int32(stream[i])
-			i++
+		if order != nil {
+			v = order[p]
 		}
 		seeded := p == next
 		if seeded {
@@ -190,8 +174,6 @@ func (e *Engine) scanPackedMultiChunk(lo, hi int32, k int) {
 				next = seeds[si]
 			}
 		}
-		end := i + 2*deg
-		relaxVertexK(kd, k, int(v), stream[i:end], seeded)
-		i = end
+		relaxVertexK(kd, k, int(v), stream[bs[p]:bs[p+1]], seeded)
 	}
 }

@@ -265,11 +265,11 @@ func TestSweepAboveInt32Boundary(t *testing.T) {
 	}
 }
 
-// TestBuildSeedsSortedAndMarksCleared checks the mark-folding contract:
-// after buildSeeds the seed positions are strictly increasing, cover the
-// whole upward search space, and every mark is back to false (the
-// between-trees invariant the packed sweep relies on without ever
-// touching the mark array itself).
+// TestBuildSeedsSortedAndMarksCleared checks the multi-tree kernel's
+// seed contract: after buildSeeds the seed positions are strictly
+// increasing, cover the whole upward search space, and every mark is
+// back to false (the between-trees invariant the kernels rely on without
+// ever touching the mark array themselves).
 func TestBuildSeedsSortedAndMarksCleared(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for _, mode := range allModes {
@@ -305,7 +305,7 @@ func TestBuildSeedsSortedAndMarksCleared(t *testing.T) {
 	}
 }
 
-// TestSweepBytesPackedBelowLegacy pins the point of the fused layout:
+// TestSweepBytesPackedBelowLegacy pins the point of the packed stream:
 // the modeled sweep traffic of the packed stream must be strictly below
 // that of the legacy CSR+mark layout (bandwidth.SweepTraffic without a
 // stream, plus the order array the legacy kernels read outside the
@@ -406,8 +406,9 @@ func TestPackedByteBudgetChunks(t *testing.T) {
 
 // TestSweepBytesAccounting pins the stream accounting: StreamBytes is
 // the packed stream's words in bytes, SweepBytes bills exactly that
-// stream on top of the label traffic at every k, and a pooled engine
-// models the same traffic as a sequential one.
+// stream plus one word per vertex (the k=1 label prefill, the k=16
+// block index) on top of the label traffic, and a pooled engine models
+// the same traffic as a sequential one.
 func TestSweepBytesAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	g := gridGraph(rng, 12, 12, 30)
@@ -417,8 +418,10 @@ func TestSweepBytesAccounting(t *testing.T) {
 	}
 	for _, k := range []int{1, 16} {
 		labels := int64(k) * int64(4*pk.s.downIn.NumArcs()+4*pk.s.n) // tail reads + label writes
-		if got := pk.SweepBytes(k); got != labels+pk.StreamBytes() {
-			t.Fatalf("SweepBytes(%d)=%d, want %d label bytes + %d stream bytes", k, got, labels, pk.StreamBytes())
+		perVertex := int64(4 * pk.s.n)
+		if got := pk.SweepBytes(k); got != labels+pk.StreamBytes()+perVertex {
+			t.Fatalf("SweepBytes(%d)=%d, want %d label bytes + %d stream bytes + %d prefill or index bytes",
+				k, got, labels, pk.StreamBytes(), perVertex)
 		}
 	}
 	pooled := packedEngine(t, g, SweepReordered, 4)

@@ -131,10 +131,9 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 		return nil, fmt.Errorf("core: parts carry no sweep stream")
 	}
 	m := p.H.DownIn.NumArcs()
-	explicit := p.Order != nil
-	if p.Packed.NumVertices() != n || p.Packed.NumArcs() != m || p.Packed.ExplicitVertex() != explicit {
-		return nil, fmt.Errorf("core: packed stream dims %d/%d/explicit=%v do not match hierarchy %d/%d/explicit=%v",
-			p.Packed.NumVertices(), p.Packed.NumArcs(), p.Packed.ExplicitVertex(), n, m, explicit)
+	if p.Packed.NumVertices() != n || p.Packed.NumArcs() != m {
+		return nil, fmt.Errorf("core: packed stream dims %d/%d do not match hierarchy %d/%d",
+			p.Packed.NumVertices(), p.Packed.NumArcs(), n, m)
 	}
 	if err := graph.ValidChunkStarts(p.ChunkStart, n); err != nil {
 		return nil, fmt.Errorf("core: parts chunk starts: %w", err)

@@ -17,8 +17,7 @@ func (e *Engine) TreeParallel(source int32) { e.tree(source, true) }
 func (e *Engine) tree(source int32, parallel bool) {
 	e.hasParents = false
 	e.lastMulti = false
-	e.chSearch(source, nil)
-	e.sweep(packedSingle, 1, parallel)
+	e.singleTree(source, nil, parallel)
 }
 
 // TreeWithParents is Tree but additionally records, for every vertex,
@@ -36,16 +35,32 @@ func (e *Engine) treeWithParents(source int32, parallel bool) {
 	}
 	e.hasParents = true
 	e.lastMulti = false
-	e.chSearch(source, e.parent)
-	e.sweep(packedParents, 1, parallel)
+	e.singleTree(source, e.parent, parallel)
 }
 
-// sweep is PHAST's second phase for every tree family: the upward
-// search space becomes the seed cursor, then the kind's kernel runs on
-// the pooled scheduler when parallel is set and the engine has one,
-// else over all of [0,n) on the calling goroutine.
+// singleTree runs both phases of one tree into e.dist (and parents when
+// non-nil): the labels are prefilled with Inf (parents with -1), the
+// upward search seeds its search space in place, and the single-tree
+// kernel sweeps on the pooled scheduler when parallel is set and the
+// engine has one, else over all of [0,n) on the calling goroutine.
+func (e *Engine) singleTree(source int32, parents []int32, parallel bool) {
+	fillInf(e.dist)
+	kind := packedSingle
+	if parents != nil {
+		for i := range parents {
+			parents[i] = -1
+		}
+		kind = packedParents
+	}
+	e.chSearch(source, parents)
+	e.clearMarks()
+	e.sweep(kind, 1, parallel)
+}
+
+// sweep is PHAST's second phase for every tree family: the kind's
+// kernel runs on the pooled scheduler when parallel is set and the
+// engine has one, else over all of [0,n) on the calling goroutine.
 func (e *Engine) sweep(kind sweepKind, k int, parallel bool) {
-	e.buildSeeds()
 	if !parallel || !e.parallelSweep(kind, k) {
 		e.scanChunkKind(kind, k, 0, int32(e.s.n))
 	}

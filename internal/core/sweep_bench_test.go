@@ -26,20 +26,44 @@ func sweepHierarchy(b *testing.B) (*ch.Hierarchy, int) {
 	return sweepBench.h, sweepBench.n
 }
 
-func BenchmarkSweepKernelPacked(b *testing.B) {
+// BenchmarkSweepKernel times phase 2 for k = 1, 2 and 16 trees: the
+// label prefill and upward searches run outside the timed region, so
+// each iteration times the kernel that walks the stream over [0,n).
+func BenchmarkSweepKernel(b *testing.B) {
 	h, n := sweepHierarchy(b)
 	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := int32(n / 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e.chSearch(src, nil)
-		e.buildSeeds()
-		b.StartTimer()
-		e.scanPackedChunk(0, int32(n))
+	rng := rand.New(rand.NewSource(11))
+	for _, k := range []int{1, 2, 16} {
+		sources := make([]int32, k)
+		for i := range sources {
+			sources[i] = int32(rng.Intn(n))
+		}
+		e.MultiTree(sources, false) // sizes kdist for k
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if k == 1 {
+					fillInf(e.dist)
+					e.chSearch(sources[0], nil)
+					e.clearMarks()
+				} else {
+					e.touched = e.touched[:0]
+					for j, src := range sources {
+						e.chSearchLane(src, j, k)
+					}
+					e.buildSeeds()
+				}
+				b.StartTimer()
+				if k == 1 {
+					e.scanPackedChunk(0, int32(n))
+				} else {
+					e.scanPackedMultiChunk(0, int32(n), k)
+				}
+			}
+		})
 	}
 }
 

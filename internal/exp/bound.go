@@ -267,7 +267,7 @@ func Bound(e *Env) ([]*Table, error) {
 		col(func(r sweepRound) float64 { return r.MultiPooledNsPerTree }), last.SweepBytes(k)/k, rep.RatioMultiPooled, cols)
 
 	csrBytes := int64(downIn.NumVertices()+1)*4 + int64(downIn.NumArcs())*8 + int64(downIn.NumVertices())
-	t.AddNote("packed stream: %d words = %s MB fused layout vs %s MB CSR+mark",
+	t.AddNote("packed stream: %d words = %s MB arc-major layout vs %s MB CSR+mark",
 		last.Packed().Words(), mb(last.Packed().MemoryBytes()), mb(csrBytes))
 	t.AddNote("PHAST rows: medians over %d rounds of fresh engines, each keeping the fastest of %d interleaved bursts; vs stream is the median per-round ratio and includes the upward CH search",
 		sweepGateRounds, sweepBursts)

@@ -58,7 +58,7 @@ func (p *Packed) ChunkStartsByBytes(budget int) []int32 {
 // chunkStartsByOffsets greedily cuts [0,n) into chunks of at most
 // budget offset units, returning the boundary list of sweep positions
 // (first entry 0, last entry n).
-func chunkStartsByOffsets(blockStart []int, budget int) []int32 {
+func chunkStartsByOffsets(blockStart []int32, budget int) []int32 {
 	n := len(blockStart) - 1
 	if budget < 1 {
 		budget = 1
@@ -66,9 +66,9 @@ func chunkStartsByOffsets(blockStart []int, budget int) []int32 {
 	starts := []int32{0}
 	base := 0
 	for p := 0; p < n; p++ {
-		if p > int(starts[len(starts)-1]) && blockStart[p+1]-base > budget {
+		if p > int(starts[len(starts)-1]) && int(blockStart[p+1])-base > budget {
 			starts = append(starts, int32(p))
-			base = blockStart[p]
+			base = int(blockStart[p])
 		}
 	}
 	return append(starts, int32(n))
@@ -79,20 +79,17 @@ func chunkStartsByOffsets(blockStart []int, budget int) []int32 {
 // starts[0]=0, strictly ascending, ending at n), the maximum sweep
 // position among tails of arcs entering the chunk from before its
 // start, or -1 when the chunk depends on no earlier position. pos maps
-// a vertex ID to its sweep position and must be non-nil exactly when
-// the stream carries explicit vertex words (non-identity orders); for
-// the identity layout a head's ID is its position.
+// a vertex ID to its sweep position for a stream laid out in an
+// explicit sweep order; nil means the identity layout, where a tail's
+// ID is its position. A dummy arc reads its own position and is no
+// dependency.
 //
-// A tail position at or after the scanning position would contradict
-// the reverse-topological property of the sweep order; that is reported
-// as an error rather than silently folded into a bound.
+// A tail position after the scanning position would contradict the
+// reverse-topological property of the sweep order; that is reported as
+// an error rather than silently folded into a bound.
 func (p *Packed) ChunkDepBoundsAt(pos []int32, starts []int32) ([]int32, error) {
 	if err := ValidChunkStarts(starts, p.n); err != nil {
 		return nil, err
-	}
-	if p.explicitV != (pos != nil) {
-		return nil, fmt.Errorf("graph: packed chunk bounds need a position map iff the stream has vertex words (explicit=%v, pos=%v)",
-			p.explicitV, pos != nil)
 	}
 	if pos != nil && len(pos) != p.n {
 		return nil, fmt.Errorf("graph: chunk position map has length %d, want %d", len(pos), p.n)
@@ -101,30 +98,29 @@ func (p *Packed) ChunkDepBoundsAt(pos []int32, starts []int32) ([]int32, error) 
 	for c := range dep {
 		dep[c] = -1
 	}
-	stream := p.stream
 	c := 0
-	i := 0
-	for sp := 0; sp < p.n; sp++ {
-		for int32(sp) >= starts[c+1] {
-			c++
+	sp := int32(-1) // the sweep position of the block being walked
+	stream := p.stream
+	for i := 0; i+1 < len(stream); i += 2 {
+		tw := stream[i]
+		if tw&FirstArc != 0 {
+			sp++
+			for sp >= starts[c+1] {
+				c++
+			}
 		}
-		start := starts[c]
-		deg := int(stream[i])
-		i++
-		if p.explicitV {
-			i++ // the vertex word; heads are what matters here
+		tp := int32(tw & TailMask)
+		if pos != nil {
+			tp = pos[tp]
 		}
-		for end := i + 2*deg; i < end; i += 2 {
-			tp := int32(stream[i])
-			if pos != nil {
-				tp = pos[stream[i]]
-			}
-			if int(tp) >= sp {
-				return nil, fmt.Errorf("graph: packed stream is not topological: position %d reads tail at position %d", sp, tp)
-			}
-			if tp < start && tp > dep[c] {
-				dep[c] = tp
-			}
+		if tp == sp {
+			continue
+		}
+		if tp > sp {
+			return nil, fmt.Errorf("graph: packed stream is not topological: position %d reads tail at position %d", sp, tp)
+		}
+		if tp < starts[c] && tp > dep[c] {
+			dep[c] = tp
 		}
 	}
 	return dep, nil

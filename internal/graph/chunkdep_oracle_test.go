@@ -71,13 +71,13 @@ func ChunkDepBounds(g *Graph, order []int32, grain int) ([]int32, error) {
 // position lands in every chunk.
 func ChunkStartsByBytes(g *Graph, order []int32, budget int) []int32 {
 	n := g.NumVertices()
-	offsets := make([]int, n+1)
+	offsets := make([]int32, n+1)
 	for p := 0; p < n; p++ {
 		v := int32(p)
 		if order != nil {
 			v = order[p]
 		}
-		offsets[p+1] = offsets[p] + 4 + 8*len(g.Arcs(v))
+		offsets[p+1] = offsets[p] + 4 + 8*int32(len(g.Arcs(v)))
 	}
 	return chunkStartsByOffsets(offsets, budget)
 }

@@ -95,8 +95,8 @@ func TestChunkDepBoundsMatchesBruteForce(t *testing.T) {
 }
 
 // TestChunkDepBoundsPackedAgrees checks the stream flavor walks its way
-// to the same bounds as the CSR flavor, for both the vertex-word layout
-// (explicit orders) and the identity layout that elides them.
+// to the same bounds as the CSR flavor, for explicit sweep orders and
+// the identity layout.
 func TestChunkDepBoundsPackedAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 30; trial++ {
@@ -173,19 +173,24 @@ func TestChunkDepBoundsErrors(t *testing.T) {
 		t.Error("non-topological packed stream accepted")
 	}
 
-	// Packed flavor: the position map must match the stream layout.
+	// Packed flavor: the position map must cover every vertex, and a
+	// stream read with the wrong map shows forward arcs.
 	p, err := NewPacked(g, order)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := p.ChunkDepBoundsAt(nil, UniformChunkStarts(10, 4)); err == nil {
-		t.Error("explicit-vertex stream accepted a nil position map")
 	}
 	if _, err := p.ChunkDepBoundsAt(make([]int32, 5), UniformChunkStarts(10, 4)); err == nil {
 		t.Error("short position map accepted")
 	}
 	if _, err := p.ChunkDepBoundsAt(make([]int32, 10), []int32{0, 4, 4, 10}); err == nil {
 		t.Error("packed chunk starts with an empty chunk accepted")
+	}
+	rev := make([]int32, 10) // the reverse of the sweep order's positions
+	for q, v := range order {
+		rev[v] = int32(9 - q)
+	}
+	if _, err := p.ChunkDepBoundsAt(rev, UniformChunkStarts(10, 4)); err == nil {
+		t.Error("stream read under the reversed order accepted")
 	}
 }
 
@@ -233,7 +238,7 @@ func TestPackedChunkStartsByBytes(t *testing.T) {
 		}
 		bs := p.BlockStarts()
 		for c := 0; c+1 < len(starts); c++ {
-			span := 4 * (bs[starts[c+1]] - bs[starts[c]])
+			span := 4 * int(bs[starts[c+1]]-bs[starts[c]])
 			if span > budget && starts[c+1]-starts[c] > 1 {
 				t.Fatalf("budget %d: chunk %d spans %d bytes over %d positions", budget, c, span, starts[c+1]-starts[c])
 			}
@@ -247,7 +252,7 @@ func TestPackedChunkStartsByBytes(t *testing.T) {
 // TestPackedChunkDepBoundsAtMatchesCSR checks the engine's flavor of
 // the dependency bounds (packed stream, variable chunk boundaries)
 // against the CSR oracle, for the identity layout and for explicit
-// vertex words, under uniform, byte-budget and degenerate boundaries.
+// sweep orders, under uniform, byte-budget and degenerate boundaries.
 func TestPackedChunkDepBoundsAtMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, explicit := range []bool{false, true} {

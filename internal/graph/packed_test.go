@@ -6,10 +6,16 @@ import (
 	"testing"
 )
 
+// randomPackedGraph draws m arcs between random distinct vertices (a
+// packed stream has no self-loops); n = 1 yields no arcs.
 func randomPackedGraph(rng *rand.Rand, n, m int) *Graph {
 	b := NewBuilder(n)
-	for i := 0; i < m; i++ {
-		b.MustAddArc(int32(rng.Intn(n)), int32(rng.Intn(n)), uint32(rng.Intn(1000)))
+	for i := 0; i < m && n > 1; i++ {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n-1))
+		if v >= u {
+			v++
+		}
+		b.MustAddArc(u, v, uint32(rng.Intn(1000)))
 	}
 	return b.Build()
 }
@@ -70,6 +76,18 @@ func randomTopoGraph(rng *rand.Rand, n, m int, order []int32) *Graph {
 	return g
 }
 
+// packedWords is the stream length of g: one word pair per arc, plus a
+// dummy pair per vertex without arcs.
+func packedWords(g *Graph) int {
+	w := 2 * g.NumArcs()
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		if g.OutDegree(v) == 0 {
+			w += 2
+		}
+	}
+	return w
+}
+
 func TestPackedIdentityRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -79,21 +97,15 @@ func TestPackedIdentityRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.ExplicitVertex() {
-			t.Fatal("identity order must elide vertex words")
-		}
-		if want := n + 2*g.NumArcs(); p.Words() != want {
+		if want := packedWords(g); p.Words() != want {
 			t.Fatalf("Words()=%d, want %d", p.Words(), want)
 		}
 		if p.NumVertices() != n || p.NumArcs() != g.NumArcs() {
 			t.Fatalf("dims %d/%d, want %d/%d", p.NumVertices(), p.NumArcs(), n, g.NumArcs())
 		}
-		ug, order, err := p.Unpack()
+		ug, err := p.Unpack(nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if order != nil {
-			t.Fatal("identity unpack returned an order")
 		}
 		if !ug.Equal(g) {
 			t.Fatal("identity round trip changed the graph")
@@ -111,27 +123,22 @@ func TestPackedOrderedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.ExplicitVertex() {
-			t.Fatal("explicit order must carry vertex words")
+		if want := packedWords(g); p.Words() != want {
+			t.Fatalf("Words()=%d, want %d: an explicit order adds no words", p.Words(), want)
 		}
-		if want := 2*n + 2*g.NumArcs(); p.Words() != want {
-			t.Fatalf("Words()=%d, want %d", p.Words(), want)
-		}
-		ug, uord, err := p.Unpack()
+		ug, err := p.Unpack(ord)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ug.Equal(g) {
 			t.Fatal("ordered round trip changed the graph")
 		}
-		for i := range ord {
-			if uord[i] != ord[i] {
-				t.Fatalf("order[%d]=%d, want %d", i, uord[i], ord[i])
-			}
-		}
 	}
 }
 
+// TestPackedBlockStarts checks the block index against the first-arc
+// bits: every block is a non-empty run of word pairs whose first tail
+// word, and only that one, carries FirstArc.
 func TestPackedBlockStarts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomPackedGraph(rng, 40, 120)
@@ -144,59 +151,53 @@ func TestPackedBlockStarts(t *testing.T) {
 		if len(bs) != 41 {
 			t.Fatalf("len(BlockStarts)=%d, want 41", len(bs))
 		}
-		if bs[0] != 0 || bs[40] != p.Words() {
+		if bs[0] != 0 || int(bs[40]) != p.Words() {
 			t.Fatalf("BlockStarts endpoints %d..%d, want 0..%d", bs[0], bs[40], p.Words())
 		}
 		stream := p.Stream()
 		for pos := 0; pos < 40; pos++ {
-			if bs[pos+1] <= bs[pos] {
-				t.Fatalf("BlockStarts not strictly increasing at %d", pos)
+			lo, hi := bs[pos], bs[pos+1]
+			if hi <= lo || (hi-lo)%2 != 0 {
+				t.Fatalf("block %d spans [%d,%d)", pos, lo, hi)
 			}
-			deg := int(stream[bs[pos]])
-			want := bs[pos] + 1 + 2*deg
-			if p.ExplicitVertex() {
-				want++
+			for i := lo; i < hi; i += 2 {
+				if got, want := stream[i]&FirstArc != 0, i == lo; got != want {
+					t.Fatalf("block %d word %d: first-arc bit %v, want %v", pos, i, got, want)
+				}
 			}
-			if bs[pos+1] != want {
-				t.Fatalf("block %d spans [%d,%d), deg %d implies end %d", pos, bs[pos], bs[pos+1], deg, want)
+			v := int32(pos)
+			if ord != nil {
+				v = ord[pos]
+			}
+			if deg := g.OutDegree(v); deg > 0 && int(hi-lo) != 2*deg {
+				t.Fatalf("block %d spans %d words, vertex %d has %d arcs", pos, hi-lo, v, deg)
 			}
 		}
 	}
 }
 
 func TestPackedStreamGrammar(t *testing.T) {
-	// Tiny hand-built graph: exact word-for-word layout.
+	// Tiny hand-built graph: exact word-for-word layout. Vertex 1 has
+	// no arcs and gets the dummy (1, Inf).
 	g, err := FromArcs(3, [][3]int64{{0, 1, 10}, {0, 2, 20}, {2, 1, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPacked(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint32{2, 1, 10, 2, 20, 0, 1, 1, 5}
-	got := p.Stream()
-	if len(got) != len(want) {
-		t.Fatalf("stream %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stream %v, want %v", got, want)
+	const F = FirstArc
+	for _, c := range []struct {
+		order  []int32
+		stream []uint32
+		starts []int32
+	}{
+		{nil, []uint32{1 | F, 10, 2, 20, 1 | F, Inf, 1 | F, 5}, []int32{0, 4, 6, 8}},
+		{[]int32{2, 0, 1}, []uint32{1 | F, 5, 1 | F, 10, 2, 20, 1 | F, Inf}, []int32{0, 2, 6, 8}},
+	} {
+		p, err := NewPacked(g, c.order)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ord := []int32{2, 0, 1}
-	p2, err := NewPacked(g, ord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2 := []uint32{1, 2, 1, 5, 2, 0, 1, 10, 2, 20, 0, 1}
-	got2 := p2.Stream()
-	if len(got2) != len(want2) {
-		t.Fatalf("ordered stream %v, want %v", got2, want2)
-	}
-	for i := range want2 {
-		if got2[i] != want2[i] {
-			t.Fatalf("ordered stream %v, want %v", got2, want2)
+		if !slices.Equal(p.Stream(), c.stream) || !slices.Equal(p.BlockStarts(), c.starts) {
+			t.Fatalf("order %v: stream %v starts %v, want %v %v", c.order, p.Stream(), p.BlockStarts(), c.stream, c.starts)
 		}
 	}
 }
@@ -219,6 +220,14 @@ func TestPackedOrderErrors(t *testing.T) {
 			t.Fatalf("order %v accepted", bad)
 		}
 	}
+	// A self-loop would be indistinguishable from a dummy arc.
+	loop, err := FromArcs(2, [][3]int64{{1, 1, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPacked(loop, nil); err == nil {
+		t.Fatal("self-loop accepted")
+	}
 }
 
 func TestPackedWeightBoundary(t *testing.T) {
@@ -231,7 +240,7 @@ func TestPackedWeightBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ug, _, err := p.Unpack()
+	ug, err := p.Unpack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,34 +252,111 @@ func TestPackedWeightBoundary(t *testing.T) {
 func TestPackedUnpackRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomPackedGraph(rng, 20, 60)
-	p, err := NewPacked(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Degree inflated past the stream end.
-	p.stream[0] = uint32(p.Words())
-	if _, _, err := p.Unpack(); err == nil {
-		t.Fatal("overrunning degree accepted")
-	}
-	// Rebuild, then corrupt a head out of range.
-	p, err = NewPacked(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pos, bs := 0, p.BlockStarts(); pos < 20; pos++ {
-		if p.stream[bs[pos]] > 0 {
-			p.stream[bs[pos]+1] = uint32(p.NumVertices())
-			break
+	for _, c := range []struct {
+		what    string
+		corrupt func(p *Packed)
+	}{
+		{"cleared first-arc bit", func(p *Packed) { p.stream[0] &^= FirstArc }},
+		{"out-of-range tail", func(p *Packed) { p.stream[0] = uint32(p.NumVertices()) | FirstArc }},
+		{"truncated block index", func(p *Packed) { p.blockStart[p.n]-- }},
+	} {
+		p, err := NewPacked(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(p)
+		if _, err := p.Unpack(nil); err == nil {
+			t.Fatalf("%s accepted", c.what)
 		}
 	}
-	if _, _, err := p.Unpack(); err == nil {
-		t.Fatal("out-of-range head accepted")
+}
+
+// TestPackedFromPartsRejectsForgery hands PackedFromParts streams forged
+// one fault at a time from a valid one; each must be an error, never a
+// stream the kernels would index out of range.
+func TestPackedFromPartsRejectsForgery(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n = 30
+	ord := randomPerm(rng, n)
+	g := randomTopoGraph(rng, n, 90, ord)
+	p, err := NewPacked(g, ord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PackedFromParts(p.Stream(), p.BlockStarts(), ord, n, g.NumArcs()); err != nil {
+		t.Fatalf("valid parts rejected: %v", err)
+	}
+	// multi is the first position with at least two arcs.
+	bs := p.BlockStarts()
+	multi := -1
+	for pos := 0; pos < n && multi < 0; pos++ {
+		if bs[pos+1]-bs[pos] >= 4 {
+			multi = pos
+		}
+	}
+	if multi < 0 {
+		t.Fatal("fixture has no position with two arcs")
+	}
+	for _, c := range []struct {
+		what  string
+		forge func(stream []uint32, starts []int32) ([]uint32, []int32)
+	}{
+		{"first arc without the bit", func(s []uint32, b []int32) ([]uint32, []int32) {
+			s[b[multi]] &^= FirstArc
+			return s, b
+		}},
+		{"later arc with the bit", func(s []uint32, b []int32) ([]uint32, []int32) {
+			s[b[multi]+2] |= FirstArc
+			return s, b
+		}},
+		{"masked tail >= n", func(s []uint32, b []int32) ([]uint32, []int32) {
+			s[b[multi]+2] = n
+			return s, b
+		}},
+		{"odd block", func(s []uint32, b []int32) ([]uint32, []int32) {
+			b[multi+1]--
+			return s, b
+		}},
+		{"empty block", func(s []uint32, b []int32) ([]uint32, []int32) {
+			b[multi+1] = b[multi]
+			return s, b
+		}},
+		{"block start disagreeing with the bits", func(s []uint32, b []int32) ([]uint32, []int32) {
+			b[multi+1] -= 2
+			return s, b
+		}},
+		{"odd stream", func(s []uint32, b []int32) ([]uint32, []int32) {
+			b[n]--
+			return s[:len(s)-1], b
+		}},
+		{"finite self-loop", func(s []uint32, b []int32) ([]uint32, []int32) {
+			s[b[multi]] = uint32(ord[multi]) | FirstArc
+			return s, b
+		}},
+		{"block index not starting at 0", func(s []uint32, b []int32) ([]uint32, []int32) {
+			b[0] = 2
+			return s, b
+		}},
+	} {
+		stream := slices.Clone(p.Stream())
+		starts := slices.Clone(p.BlockStarts())
+		stream, starts = c.forge(stream, starts)
+		if _, err := PackedFromParts(stream, starts, ord, n, g.NumArcs()); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
+	}
+	if _, err := PackedFromParts(p.Stream(), p.BlockStarts(), ord, n, g.NumArcs()+1); err == nil {
+		t.Error("wrong arc count accepted")
+	}
+	if _, err := PackedFromParts(p.Stream(), p.BlockStarts(), ord[:n-1], n, g.NumArcs()); err == nil {
+		t.Error("short order accepted")
 	}
 }
 
 // FuzzPackedRoundTrip encodes a random reverse-topological graph into
-// the packed stream and checks that Unpack recovers the graph and the
-// sweep order, and that WithWeights under a second metric yields the
+// the packed stream and checks that Unpack recovers the graph under the
+// sweep order, that PackedFromParts accepts the parts, and that
+// WithWeights under a second metric yields the
 // same words as a fresh encode of the re-weighted graph.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add(uint16(8), uint16(20), int64(1))
@@ -301,20 +387,15 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		ug, uord, err := p.Unpack()
+		ug, err := p.Unpack(ord)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if !ug.Equal(g) {
 			t.Fatal("round trip changed the graph")
 		}
-		if (uord == nil) != (ord == nil) {
-			t.Fatal("round trip changed order presence")
-		}
-		for i := range ord {
-			if uord[i] != ord[i] {
-				t.Fatalf("order[%d]=%d, want %d", i, uord[i], ord[i])
-			}
+		if _, err := PackedFromParts(p.Stream(), p.BlockStarts(), ord, n, g.NumArcs()); err != nil {
+			t.Fatalf("parts of a fresh encode rejected: %v", err)
 		}
 		weights := make([]uint32, g.NumArcs())
 		for i := range weights {
@@ -324,7 +405,7 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		patched, err := p.WithWeights(g2)
+		patched, err := p.WithWeights(g2, ord)
 		if err != nil {
 			t.Fatalf("patch: %v", err)
 		}

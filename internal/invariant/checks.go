@@ -223,55 +223,23 @@ func CustomizedMetric(h *ch.Hierarchy) error {
 	return nil
 }
 
-// PackedStream validates the fused single-stream sweep layout against
-// the CSR graph and sweep order it was built from: dimensions match,
-// the block index partitions the stream, the vertex words (when
-// present) follow the order, per-block degrees and (head, weight)
-// pairs reproduce the adjacency lists exactly, degrees sum to m, and
-// every vertex appears exactly once. The grammar half rides on
-// Packed.Unpack (the round trip); the block index is checked here.
+// PackedStream validates the arc-major sweep stream against the CSR
+// graph and sweep order it was built from: dimensions match, the
+// grammar holds (Packed.Unpack walks it in full: the block index tiles
+// the stream, bit 31 of the tail words marks exactly the first arc of
+// every block, dummy blocks are lone Inf self-arcs), and the blocks,
+// read in the sweep order, reproduce the adjacency lists exactly.
 func PackedStream(p *graph.Packed, g *graph.Graph, order []int32) error {
 	if p.NumVertices() != g.NumVertices() || p.NumArcs() != g.NumArcs() {
 		return fmt.Errorf("invariant: packed dims %d/%d, graph %d/%d",
 			p.NumVertices(), p.NumArcs(), g.NumVertices(), g.NumArcs())
 	}
-	if p.ExplicitVertex() != (order != nil) {
-		return fmt.Errorf("invariant: packed explicit-vertex flag %v but order nil=%v",
-			p.ExplicitVertex(), order == nil)
-	}
-	n := p.NumVertices()
-	bs := p.BlockStarts()
-	if len(bs) != n+1 {
-		return fmt.Errorf("invariant: packed block index has %d entries, want %d", len(bs), n+1)
-	}
-	if bs[0] != 0 || bs[n] != p.Words() {
-		return fmt.Errorf("invariant: packed block index spans [%d,%d], want [0,%d]", bs[0], bs[n], p.Words())
-	}
-	stream := p.Stream()
-	for pos := 0; pos < n; pos++ {
-		if bs[pos+1] <= bs[pos] {
-			return fmt.Errorf("invariant: packed block index not increasing at position %d", pos)
-		}
-		want := bs[pos] + 1 + 2*int(stream[bs[pos]])
-		if p.ExplicitVertex() {
-			want++
-		}
-		if bs[pos+1] != want {
-			return fmt.Errorf("invariant: packed block %d ends at %d, degree implies %d", pos, bs[pos+1], want)
-		}
-	}
-	ug, uorder, err := p.Unpack()
+	ug, err := p.Unpack(order)
 	if err != nil {
 		return fmt.Errorf("invariant: packed stream malformed: %w", err)
 	}
 	if !ug.Equal(g) {
 		return fmt.Errorf("invariant: packed stream does not round-trip to its CSR graph")
-	}
-	for i := range order {
-		if uorder[i] != order[i] {
-			return fmt.Errorf("invariant: packed vertex word at position %d is %d, order says %d",
-				i, uorder[i], order[i])
-		}
 	}
 	return nil
 }

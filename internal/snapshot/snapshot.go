@@ -1,6 +1,6 @@
 // Package snapshot defines the versioned binary format for a complete
 // PHAST engine — the CH hierarchy (v2 semantics: metric identity
-// included), the original graph, the packed sweep stream,
+// included), the original graph, the arc-major sweep stream,
 // the chunk schedule with its precomputed dependency bounds, and the
 // vertex orders and level ranges — laid out so a reader aliases every
 // large array directly out of an mmap'd file with zero copies.
@@ -19,7 +19,10 @@
 //
 // Every array section stores its elements verbatim in engine memory
 // layout — []int32, []graph.Arc (8 bytes: head int32 + weight uint32),
-// []uint32, []int64 (block starts) or [][2]int32 (level ranges).
+// []uint32 or [][2]int32 (level ranges). The sweep stream is stored in
+// the grammar the kernels read (graph.Packed: (tail | first-arc bit,
+// weight) word pairs in sweep order, with an int32 block index), so a
+// loaded stream is validated but never converted.
 // Because each section offset is 8-byte aligned and the element types
 // have no padding, a reader on a little-endian 64-bit platform
 // reconstructs each array with one unsafe.Slice over the mapped region:
@@ -30,7 +33,7 @@
 //
 // The reader trusts nothing: magic/version/size, the section table
 // (alignment, bounds, ordering, exact lengths against n and the arc
-// counts), permutations, mid ranges, the full packed stream grammar,
+// counts), permutations, mid ranges, the full sweep stream grammar,
 // and the chunk schedule are all validated before an engine is
 // assembled — the same discipline as ch.ReadHierarchy, extended to the
 // aliasing layout (FuzzSnapshotRoundTrip forges headers, lengths, and
@@ -61,10 +64,11 @@ import (
 const (
 	// Magic spells "PHASTSNP" as a little-endian uint64.
 	Magic uint64 = 0x504e535453414850
-	// Version of the format this package writes. Version 2 carries
-	// exactly one sweep stream, the packed words; version 1 files, which
-	// had a second stream slot, are rejected.
-	Version = 2
+	// Version of the format this package writes. Version 3 stores the
+	// arc-major sweep stream with an int32 block index; version 2 files
+	// (degree and vertex words, int64 block index) and version 1 files
+	// (a second stream slot) are rejected.
+	Version = 3
 
 	headerWords = 10
 	maxNameLen  = 1 << 10
@@ -74,7 +78,7 @@ const (
 	maxDim = 1 << 31
 )
 
-// Section indices of format version 2. The table length is fixed:
+// Section indices of format version 3. The table length is fixed:
 // absent arrays (identity order) are zero-length sections, not missing
 // ones.
 const (
@@ -105,18 +109,19 @@ const (
 	numSections
 )
 
-// Header flag bits. Bits 3 and 4 named the sweep stream kind in
-// version 1, and bit 5 selected the retired fork-join sweep; all three
-// are undefined now.
+// Header flag bits: the sweep mode and whether the file carries an
+// explicit sweep order (every mode but the reordered one). Bits 3 and 4
+// named the sweep stream kind in version 1, and bit 5 selected the
+// retired fork-join sweep; all three are undefined now.
 const (
-	flagModeMask  = 0b11 // core.SweepMode
-	flagExplicitV = 1 << 2
-	flagsKnown    = flagModeMask | flagExplicitV
+	flagModeMask      = 0b11 // core.SweepMode
+	flagExplicitOrder = 1 << 2
+	flagsKnown        = flagModeMask | flagExplicitOrder
 )
 
 // hostIsAliasable reports whether this platform can alias the on-disk
-// layout directly: little-endian with 64-bit ints (block starts are
-// stored as int64 and aliased as []int).
+// layout directly: little-endian with 64-bit ints (section offsets and
+// lengths are 64-bit and handled as int).
 func hostIsAliasable() bool {
 	probe := uint16(1)
 	return *(*byte)(unsafe.Pointer(&probe)) == 1 && strconv.IntSize == 64
@@ -145,15 +150,6 @@ func bytesOfUint32s(s []uint32) []byte {
 // is int32+uint32 with no padding, so the in-memory layout is already
 // the on-disk layout.
 func bytesOfArcs(s []graph.Arc) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-}
-
-// bytesOfInts views an []int as raw little-endian int64 bytes (64-bit
-// platforms only; Write checks hostIsAliasable first).
-func bytesOfInts(s []int) []byte {
 	if len(s) == 0 {
 		return nil
 	}
@@ -204,7 +200,7 @@ func Write(w io.Writer, p core.EngineParts, orig *graph.Graph) (int64, error) {
 	sections[secPos] = bytesOfInt32s(p.Pos)
 	sections[secLevelRanges] = bytesOfRanges(p.LevelRanges)
 	sections[secPackedStream] = bytesOfUint32s(p.Packed.Stream())
-	sections[secPackedBlocks] = bytesOfInts(p.Packed.BlockStarts())
+	sections[secPackedBlocks] = bytesOfInt32s(p.Packed.BlockStarts())
 	sections[secChunkStart] = bytesOfInt32s(p.ChunkStart)
 	sections[secChunkDep] = bytesOfInt32s(p.ChunkDep)
 	sections[secOrigFirst] = bytesOfInt32s(orig.FirstOut())
@@ -212,7 +208,7 @@ func Write(w io.Writer, p core.EngineParts, orig *graph.Graph) (int64, error) {
 
 	flags := uint64(p.Mode) & flagModeMask
 	if p.Order != nil {
-		flags |= flagExplicitV
+		flags |= flagExplicitOrder
 	}
 
 	nameLen := int64(len(h.MetricName))
@@ -475,7 +471,7 @@ func FromBytes(data []byte) (*Snapshot, error) {
 	}
 
 	mode := core.SweepMode(flags & flagModeMask)
-	explicit := flags&flagExplicitV != 0
+	explicit := flags&flagExplicitOrder != 0
 	if mode == core.SweepReordered && explicit {
 		return nil, fmt.Errorf("snapshot: reordered mode with an explicit sweep order")
 	}
@@ -514,16 +510,6 @@ func FromBytes(data []byte) (*Snapshot, error) {
 			return nil, nil
 		}
 		return unsafe.Slice((*graph.Arc)(unsafe.Pointer(&data[s.off])), s.len/8), nil
-	}
-	intsAt := func(idx int, count int, what string) ([]int, error) {
-		s := secs[idx]
-		if s.len != int64(count)*8 {
-			return nil, fmt.Errorf("snapshot: %s section has %d bytes, want %d", what, s.len, count*8)
-		}
-		if count == 0 {
-			return nil, nil
-		}
-		return unsafe.Slice((*int)(unsafe.Pointer(&data[s.off])), count), nil
 	}
 
 	readGraph := func(fIdx, aIdx int, what string) (*graph.Graph, error) {
@@ -655,11 +641,11 @@ func FromBytes(data []byte) (*Snapshot, error) {
 	if stream.len > 0 {
 		words = unsafe.Slice((*uint32)(unsafe.Pointer(&data[stream.off])), stream.len/4)
 	}
-	blocks, err := intsAt(secPackedBlocks, n+1, "packed blocks")
+	blocks, err := i32s(secPackedBlocks, n+1, "packed blocks")
 	if err != nil {
 		return nil, err
 	}
-	packed, err := graph.PackedFromParts(words, blocks, n, downIn.NumArcs(), explicit)
+	packed, err := graph.PackedFromParts(words, blocks, order, n, downIn.NumArcs())
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}

@@ -181,7 +181,7 @@ func TestLoadAliasesMapping(t *testing.T) {
 	inRegion("toOrig", unsafe.Pointer(unsafe.SliceData(p.ToOrig)), uintptr(len(p.ToOrig))*4)
 	inRegion("level ranges", unsafe.Pointer(unsafe.SliceData(p.LevelRanges)), uintptr(len(p.LevelRanges))*8)
 	inRegion("packed stream", unsafe.Pointer(unsafe.SliceData(p.Packed.Stream())), uintptr(len(p.Packed.Stream()))*4)
-	inRegion("packed blocks", unsafe.Pointer(unsafe.SliceData(p.Packed.BlockStarts())), uintptr(len(p.Packed.BlockStarts()))*8)
+	inRegion("packed blocks", unsafe.Pointer(unsafe.SliceData(p.Packed.BlockStarts())), uintptr(len(p.Packed.BlockStarts()))*4)
 	inRegion("chunk starts", unsafe.Pointer(unsafe.SliceData(p.ChunkStart)), uintptr(len(p.ChunkStart))*4)
 	inRegion("chunk deps", unsafe.Pointer(unsafe.SliceData(p.ChunkDep)), uintptr(len(p.ChunkDep))*4)
 	inRegion("orig first", unsafe.Pointer(unsafe.SliceData(snap.Orig.FirstOut())), uintptr(len(snap.Orig.FirstOut()))*4)
@@ -273,13 +273,65 @@ func TestRejectsForgery(t *testing.T) {
 		}
 	}
 	refused("v1 version word", "unsupported version 1", func(b []byte) { put64(b, 8, 1) })
+	refused("v2 version word", "unsupported version 2", func(b []byte) { put64(b, 8, 2) })
 	refused("v2 with flag bit 3", "unknown flag bits 0x8", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<3) })
 	refused("v2 with flag bit 4", "unknown flag bits 0x10", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<4) })
 	refused("v2 with flag bit 5", "unknown flag bits 0x20", func(b []byte) { put64(b, 24, u64at(b, 24)|1<<5) })
 }
 
-// FuzzSnapshotRoundTrip mutates the header and section table of a valid
-// snapshot (plus arbitrary truncations): the reader must either reject
+// streamOffset returns the file offset of the sweep stream section of
+// the snapshot b.
+func streamOffset(b []byte) int64 {
+	return int64(u64at(b, headerWords*8+secPackedStream*16))
+}
+
+// TestRejectsFlippedFirstArcBit flips bit 31 of tail words in a saved
+// file — clearing it on a block's first arc, setting it on a later one —
+// and checks that both Read and Load refuse the file with a grammar
+// error instead of handing the kernels a stream whose position counter
+// would run off its chunk.
+func TestRejectsFlippedFirstArcBit(t *testing.T) {
+	g, h := fixture(t)
+	eng, err := core.NewEngine(h, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := Write(&buf, eng.Parts(), g); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	bs := eng.Packed().BlockStarts()
+	later := -1 // the word index of some block's second tail word
+	for p := 0; p+1 < len(bs) && later < 0; p++ {
+		if bs[p+1]-bs[p] >= 4 {
+			later = int(bs[p]) + 2
+		}
+	}
+	if later < 0 {
+		t.Fatal("fixture has no block with two arcs")
+	}
+	dir := t.TempDir()
+	for _, word := range []int{0, later} {
+		b := append([]byte(nil), good...)
+		b[streamOffset(b)+int64(word)*4+3] ^= 0x80 // bit 31, little-endian
+		if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "first-arc bit") {
+			t.Errorf("Read of word %d flipped: got %v, want a first-arc bit error", word, err)
+		}
+		path := filepath.Join(dir, "flipped.snap")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "first-arc bit") {
+			t.Errorf("Load of word %d flipped: got %v, want a first-arc bit error", word, err)
+		}
+	}
+}
+
+// FuzzSnapshotRoundTrip mutates a valid snapshot (plus arbitrary
+// truncations): an offset inside the header and section table
+// overwrites 8 bytes there, an offset past it XORs val into the
+// sections (the sweep stream among them). The reader must either reject
 // the forgery or produce an engine that passes parts validation — it
 // must never panic or index out of range.
 func FuzzSnapshotRoundTrip(f *testing.F) {
@@ -300,17 +352,20 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(0), uint64(0), 0)
 	f.Add(int64(16), uint64(1<<60), len(good))
 	f.Add(int64(headerWords*8+8), uint64(3), len(good)/2)
+	f.Add(streamOffset(good), uint64(graph.FirstArc), len(good)) // clears block 0's first-arc bit
 	f.Fuzz(func(t *testing.T, off int64, val uint64, cut int) {
 		b := append([]byte(nil), good...)
 		if cut >= 0 && cut < len(b) {
 			b = b[:cut]
 		}
-		// Constrain the mutation to the header + section table region —
-		// the fields the hardened reader must never trust.
 		region := int64(headerWords*8 + numSections*16)
-		if off >= 0 && off+8 <= region && off+8 <= int64(len(b)) {
+		if off >= 0 && off+8 <= int64(len(b)) {
 			for i := 0; i < 8; i++ {
-				b[off+int64(i)] = byte(val >> (8 * i))
+				if off+8 <= region {
+					b[off+int64(i)] = byte(val >> (8 * i))
+				} else {
+					b[off+int64(i)] ^= byte(val >> (8 * i))
+				}
 			}
 		}
 		snap, err := Read(bytes.NewReader(b))
